@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-core coverage experiments report quick-report campaign-smoke campaign-fault-smoke campaign-top matrix-smoke rewind-smoke interference-smoke synth-smoke stats examples lint specct-smoke clean
+.PHONY: install test bench bench-core bench-e2e coverage experiments report quick-report campaign-smoke campaign-fault-smoke campaign-top matrix-smoke rewind-smoke interference-smoke synth-smoke stats examples lint specct-smoke clean
 
 # Execution backend for campaign-smoke (scalar | batched); results are
 # bit-identical either way — CI runs the smoke once per backend.
@@ -30,6 +30,23 @@ bench-core:
 	    (m['fig3_round_ms'], s['fig3_round_normalized'], \
 	     m['synthetic_ips'], s['synthetic_ips_normalized'], \
 	     m['fig3_round_batched_ms'], m['batched_speedup_vs_scalar']))"
+
+# End-to-end benchmark (benchmarks/e2e/README.md): all four workloads at
+# seed 0, results in .bench-out/bench-e2e.json. Fails when a workload
+# crashes or fails its output checks (run.py exits non-zero), or when any
+# workload's sim_digest differs from the one stored in baselines.json.
+# Timings are recorded, not gated: a timing claim needs the paired runs
+# of compare.py --run.
+bench-e2e:
+	@mkdir -p .bench-out
+	python3 benchmarks/e2e/run.py --seed 0 --out .bench-out/bench-e2e.json
+	@python3 -c "import json; \
+	    runs = json.load(open('.bench-out/bench-e2e.json'))['workloads']; \
+	    bad = {name: (r['diagnostics']['sim_digest'], r['diagnostics']['sim_digest_stored']) \
+	        for name, r in runs.items() \
+	        if r['diagnostics']['sim_digest'] != r['diagnostics']['sim_digest_stored']}; \
+	    assert runs and not bad, 'sim_digest differs from baselines.json: %r' % bad; \
+	    print('bench-e2e: %d workloads, every sim_digest matches stored' % len(runs))"
 
 experiments:
 	$(PYTHON) -m repro.experiments all

@@ -424,10 +424,27 @@ class CacheHierarchy:
     def commit_epoch(self, epoch: int) -> EpochDelta:
         """Window resolved correct: clear speculative marks, keep state."""
         delta = self.tracker.close_epoch(epoch)
-        self.l1.commit_epoch(epoch)
-        self.l2.commit_epoch(epoch)
-        self.l1_guard.resolve_window(self._l1_lines_by_addr(), cycle=0)
+        self.commit_installs(delta)
+        if self.l1_guard.pending_downgrades:
+            self.l1_guard.resolve_window(self._l1_lines_by_addr(), cycle=0)
         return delta
+
+    def commit_installs(self, delta: EpochDelta) -> "tuple[int, int]":
+        """Make ``delta``'s installs ordinary lines; return ``(l1, l2)`` cleared.
+
+        The one commit path: each level clears the speculative marks of
+        the lines the epoch installed there, so a commit costs the window's
+        footprint rather than a scan of every tag slot.
+        """
+        epoch = delta.epoch
+        l1_addrs = []
+        l2_addrs = []
+        for install in delta.installs:
+            if install.level == "L1":
+                l1_addrs.append(install.line_addr)
+            elif install.level == "L2":
+                l2_addrs.append(install.line_addr)
+        return self.l1.commit_epoch(epoch, l1_addrs), self.l2.commit_epoch(epoch, l2_addrs)
 
     def squash_epoch_delta(self, epoch: int) -> EpochDelta:
         """Window mis-speculated: hand the delta to the defense.

@@ -13,7 +13,7 @@ replacement policy's ``allowed_ways`` (NoMo partition, used for the L1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from ..common.config import CacheGeometry
 from ..memory.address import AddressMapper
@@ -82,9 +82,11 @@ class SetAssociativeCache:
         self.mapper = AddressMapper(geometry)
         self.policy = policy
         self.randomizer = randomizer
-        self._sets: List[List[Optional[CacheLine]]] = [
-            [None] * geometry.ways for _ in range(geometry.sets)
-        ]
+        #: Way lists, one per set; ``None`` until the set's first install.
+        #: Most machines touch a few dozen of the L2's 2,048 sets, so an
+        #: unallocated set stands for an empty one and every reader treats
+        #: it that way.
+        self._sets: List[Optional[List[Optional[CacheLine]]]] = [None] * geometry.sets
         self.stats = CacheStats()
         # Hot-path precomputes: line/set masks, the (expensive, pure)
         # randomized set-index function memoized per line number, and an
@@ -201,9 +203,12 @@ class SetAssociativeCache:
         line_addr = addr & self._line_mask
         set_index, way, existing = self._find(addr)
         self.version += 1
+        ways = self._sets[set_index]
+        if ways is None:
+            ways = self._sets[set_index] = [None] * self.geometry.ways
         rec = self._recording
         if rec is not None and set_index not in rec:
-            rec[set_index] = snapshot_set(self._sets[set_index])
+            rec[set_index] = snapshot_set(ways)
         if existing is not None:
             # Already present — refresh rather than duplicate.
             existing.touch(cycle)
@@ -211,7 +216,6 @@ class SetAssociativeCache:
                 existing.write(cycle)
             return existing, None
 
-        ways = self._sets[set_index]
         eviction: Optional[Eviction] = None
         if preferred_way is not None:
             target = preferred_way
@@ -287,17 +291,37 @@ class SetAssociativeCache:
 
     # -- maintenance ---------------------------------------------------------------
 
-    def commit_epoch(self, epoch: int) -> int:
-        """Clear speculative marks of ``epoch`` (window committed); count them."""
+    def commit_epoch(self, epoch: int, line_addrs: Iterable[int]) -> int:
+        """Clear the speculative marks ``epoch`` left on ``line_addrs``; count them.
+
+        ``line_addrs`` is the epoch's install footprint at this level (the
+        ``line_addr`` of each of its :class:`~repro.cache.spec_tracker.SpecInstall`
+        records). Only a speculative install stamps a line with an epoch,
+        and every such install is recorded, so the footprint covers every
+        line the window marked: a line since evicted, re-installed by
+        another epoch or already cleared (a duplicate address) is skipped.
+        """
         cleared = 0
         rec = self._recording
-        for set_index, ways in enumerate(self._sets):
-            for line in ways:
-                if line is not None and line.speculative and line.epoch == epoch:
-                    if rec is not None and set_index not in rec:
-                        rec[set_index] = snapshot_set(ways)
-                    line.commit()
-                    cleared += 1
+        where = self._where
+        sets = self._sets
+        for line_addr in line_addrs:
+            loc = where.get(line_addr)
+            if loc is None:
+                continue
+            set_index, way = loc
+            line = sets[set_index][way]
+            if (
+                line is None
+                or line.line_addr != line_addr
+                or not line.speculative
+                or line.epoch != epoch
+            ):
+                continue
+            if rec is not None and set_index not in rec:
+                rec[set_index] = snapshot_set(sets[set_index])
+            line.commit()
+            cleared += 1
         if cleared:
             self.version += 1
         return cleared
@@ -306,6 +330,8 @@ class SetAssociativeCache:
         """All speculative lines (optionally of one epoch)."""
         out = []
         for ways in self._sets:
+            if ways is None:
+                continue
             for line in ways:
                 if line is not None and line.speculative:
                     if epoch is None or line.epoch == epoch:
@@ -313,20 +339,28 @@ class SetAssociativeCache:
         return out
 
     def resident_lines(self) -> List[CacheLine]:
-        return [l for ways in self._sets for l in ways if l is not None and l.valid]
+        """Valid lines in set-index order, ways in way order."""
+        return [
+            l
+            for ways in self._sets
+            if ways is not None
+            for l in ways
+            if l is not None and l.valid
+        ]
 
     def set_occupancy(self, set_index: int) -> int:
         """Number of valid lines currently in ``set_index``."""
-        return sum(
-            1 for l in self._sets[set_index] if l is not None and l.valid
-        )
+        ways = self._sets[set_index]
+        if ways is None:
+            return 0
+        return sum(1 for l in ways if l is not None and l.valid)
 
     def clear(self) -> None:
+        """Empty the cache: every set returns to unallocated, in place."""
         self.version += 1
         if self._recording is not None:
             self._record_spill = True
-        for s in range(self.geometry.sets):
-            self._sets[s] = [None] * self.geometry.ways
+        self._sets[:] = [None] * len(self._sets)
         self._where.clear()
 
     # -- observability -------------------------------------------------------

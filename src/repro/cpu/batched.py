@@ -274,7 +274,7 @@ class BatchedCore(Core):
         """Full canonical rebuild; False if speculative lines are live."""
         sigs = canon.sigs
         for set_index, ways in enumerate(canon.cache._sets):
-            if not any(ways):
+            if ways is None or not any(ways):
                 sigs[set_index] = _EMPTY_SIG
                 continue
             for line in ways:
@@ -605,6 +605,8 @@ class BatchedCore(Core):
         sets = cache._sets
         for set_index, before in recording.items():
             ways = sets[set_index]
+            if ways is None:  # cleared since the snapshot
+                ways = [None] * len(before)
             after = snapshot_set(ways)
             for line in ways:
                 if line is not None and line.speculative:
@@ -634,9 +636,13 @@ class BatchedCore(Core):
         ):
             sets = cache._sets
             where = cache._where
+            n_ways = cache.geometry.ways
             for set_index, way, entry in changes:
+                ways = sets[set_index]
+                if ways is None:
+                    ways = sets[set_index] = [None] * n_ways
                 if entry is None:
-                    sets[set_index][way] = None
+                    ways[way] = None
                 else:
                     # Fresh line objects: recorded tuples must never alias
                     # live lines a later round would mutate.
@@ -644,7 +650,7 @@ class BatchedCore(Core):
                         entry[0], entry[1], entry[2], entry[3],
                         entry[4], entry[5], entry[6],
                     )
-                    sets[set_index][way] = line
+                    ways[way] = line
                     where[entry[0]] = (set_index, way)
             canon_sigs = canon.sigs
             for set_index, sig in sigs:
@@ -737,7 +743,7 @@ def machine_fingerprint(core: Core) -> tuple:
     def cache_state(cache: SetAssociativeCache) -> tuple:
         out = []
         for set_index, ways in enumerate(cache._sets):
-            if any(ways):
+            if ways is not None and any(ways):
                 out.append((set_index, snapshot_set(ways)))
         return tuple(out)
 

@@ -73,6 +73,38 @@ class SquashOutcome:
         return self.breakdown.get(name, 0)
 
 
+class DefenseCounters:
+    """A defense's cumulative counters, held apart from the defense itself.
+
+    The stats registry's gauge sources close over this object, never over
+    the defense: the defense references the registry through ``obs``, so a
+    source that referenced the defense back would make every machine of an
+    experiment a reference cycle, freed only by a full garbage collection.
+    """
+
+
+class counter:
+    """A public integer attribute of a defense, stored on its ``counters``.
+
+    Reads and writes (``defense.squash_count += 1``, the batched backend's
+    ``setattr`` of replayed deltas) go to :class:`DefenseCounters`, where a
+    gauge source can read them without holding the defense.
+    """
+
+    __slots__ = ("name",)
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        return obj.counters.__dict__[self.name]
+
+    def __set__(self, obj, value: int) -> None:
+        obj.counters.__dict__[self.name] = value
+
+
 class Defense(abc.ABC):
     """A speculation-squash policy attached to a hierarchy."""
 
@@ -108,8 +140,12 @@ class Defense(abc.ABC):
     #: walked via their ``inner`` attribute.
     replay_counter_attrs: "tuple" = ("squash_count", "total_stall")
 
+    squash_count = counter()
+    total_stall = counter()
+
     def __init__(self, hierarchy: "CacheHierarchy") -> None:
         self.hierarchy = hierarchy
+        self.counters = DefenseCounters()
         self.squash_count = 0
         self.total_stall = 0
         self.obs: Optional[Observability] = None
@@ -129,19 +165,21 @@ class Defense(abc.ABC):
         self._register_extra_stats(obs.registry)
 
     def _register_base_stats(self, registry) -> None:
+        c = self.counters
         registry.gauge("defense.squashes", "squashes handled by the defense").add_source(
-            lambda: self.squash_count
+            lambda: c.squash_count
         )
         registry.gauge(
             "defense.stall_cycles", "cumulative post-squash stall"
-        ).add_source(lambda: self.total_stall)
+        ).add_source(lambda: c.total_stall)
 
     def _register_extra_stats(self, registry) -> None:
         """Hook for subclass-specific stats; called once obs is known.
 
         Subclasses whose counters exist only after their own ``__init__``
         ran must register here (and call it themselves when the hierarchy
-        already carries an obs at construction time).
+        already carries an obs at construction time). Sources read
+        ``self.counters``, never ``self`` (see :class:`DefenseCounters`).
         """
 
     @abc.abstractmethod

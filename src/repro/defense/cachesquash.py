@@ -36,6 +36,7 @@ from .base import (
     DefenseCapabilities,
     SquashContext,
     SquashOutcome,
+    counter,
     register_defense,
 )
 
@@ -55,6 +56,9 @@ class CacheSquash(Defense):
         "total_cancelled",
         "total_cancel_stall",
     )
+
+    total_cancelled = counter()
+    total_cancel_stall = counter()
 
     def __init__(
         self,
@@ -78,14 +82,15 @@ class CacheSquash(Defense):
             self._register_extra_stats(self.obs.registry)
 
     def _register_extra_stats(self, registry) -> None:
+        c = self.counters
         registry.gauge(
             "defense.cachesquash.cancelled",
             "in-flight speculative requests cancelled on squash",
-        ).add_source(lambda: self.total_cancelled)
+        ).add_source(lambda: c.total_cancelled)
         registry.gauge(
             "defense.cachesquash.cancel_stall",
             "cumulative coalesced cancellation stall",
-        ).add_source(lambda: self.total_cancel_stall)
+        ).add_source(lambda: c.total_cancel_stall)
 
     def handle_squash(self, ctx: SquashContext) -> SquashOutcome:
         # No real-hierarchy installs: completed speculative fills are

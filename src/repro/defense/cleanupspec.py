@@ -26,6 +26,7 @@ from .base import (
     DefenseCapabilities,
     SquashContext,
     SquashOutcome,
+    counter,
     register_defense,
 )
 from .cleanup_timing import CleanupMode, CleanupTimingModel
@@ -40,6 +41,10 @@ class CleanupSpec(Defense):
         "total_invalidations_l2",
         "total_restorations",
     )
+
+    total_invalidations_l1 = counter()
+    total_invalidations_l2 = counter()
+    total_restorations = counter()
 
     def __init__(
         self,
@@ -59,18 +64,19 @@ class CleanupSpec(Defense):
             self._register_extra_stats(self.obs.registry)
 
     def _register_extra_stats(self, registry) -> None:
+        c = self.counters
         registry.gauge(
             "defense.cleanup.invalidations_l1",
             "transient L1 lines invalidated by rollback (T5)",
-        ).add_source(lambda: self.total_invalidations_l1)
+        ).add_source(lambda: c.total_invalidations_l1)
         registry.gauge(
             "defense.cleanup.invalidations_l2",
             "transient L2 lines invalidated by rollback (T5)",
-        ).add_source(lambda: self.total_invalidations_l2)
+        ).add_source(lambda: c.total_invalidations_l2)
         registry.gauge(
             "defense.cleanup.restores",
             "evicted L1 victims restored by rollback (T5)",
-        ).add_source(lambda: self.total_restorations)
+        ).add_source(lambda: c.total_restorations)
 
     def handle_squash(self, ctx: SquashContext) -> SquashOutcome:
         delta = ctx.delta

@@ -24,6 +24,7 @@ from .base import (
     DefenseCapabilities,
     SquashContext,
     SquashOutcome,
+    counter,
     register_defense,
 )
 from .cleanup_timing import CleanupMode, CleanupTimingModel
@@ -32,6 +33,8 @@ from .cleanupspec import CleanupSpec
 
 class FuzzyCleanup(Defense):
     """CleanupSpec with random dummy cleanup delay."""
+
+    total_dummy = counter()
 
     def __init__(
         self,
@@ -53,9 +56,10 @@ class FuzzyCleanup(Defense):
             self._register_extra_stats(self.obs.registry)
 
     def _register_extra_stats(self, registry) -> None:
+        c = self.counters
         registry.gauge(
             "defense.fuzzy.dummy_cycles", "cumulative random dummy-cleanup stall"
-        ).add_source(lambda: self.total_dummy)
+        ).add_source(lambda: c.total_dummy)
 
     def handle_squash(self, ctx: SquashContext) -> SquashOutcome:
         inner = self.inner.handle_squash(ctx)

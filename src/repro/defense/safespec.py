@@ -35,6 +35,7 @@ from .base import (
     DefenseCapabilities,
     SquashContext,
     SquashOutcome,
+    counter,
     register_defense,
 )
 
@@ -51,6 +52,9 @@ class SafeSpec(Defense):
         "total_shadow_discards",
     )
 
+    total_shadow_fills = counter()
+    total_shadow_discards = counter()
+
     def __init__(self, hierarchy: CacheHierarchy) -> None:
         super().__init__(hierarchy)
         #: Wrong-path misses serviced by shadow structures, cumulative.
@@ -62,14 +66,15 @@ class SafeSpec(Defense):
             self._register_extra_stats(self.obs.registry)
 
     def _register_extra_stats(self, registry) -> None:
+        c = self.counters
         registry.gauge(
             "defense.safespec.shadow_fills",
             "wrong-path misses serviced by shadow structures",
-        ).add_source(lambda: self.total_shadow_fills)
+        ).add_source(lambda: c.total_shadow_fills)
         registry.gauge(
             "defense.safespec.shadow_discards",
             "shadow entries dropped on squash",
-        ).add_source(lambda: self.total_shadow_discards)
+        ).add_source(lambda: c.total_shadow_discards)
 
     def handle_squash(self, ctx: SquashContext) -> SquashOutcome:
         # Nothing ever installed into the real hierarchy; dropping the

@@ -26,9 +26,7 @@ class UnsafeBaseline(Defense):
     def handle_squash(self, ctx: SquashContext) -> SquashOutcome:
         # The transient lines become permanent; clear their speculative
         # marking so later accesses (and coherence) treat them normally.
-        epoch = ctx.delta.epoch
-        self.hierarchy.l1.commit_epoch(epoch)
-        self.hierarchy.l2.commit_epoch(epoch)
+        self.hierarchy.commit_installs(ctx.delta)
         return SquashOutcome(
             defense=self.name,
             stall_cycles=0,

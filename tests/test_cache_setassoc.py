@@ -108,7 +108,7 @@ class TestSpeculativeMarks:
     def test_commit_epoch(self):
         c = make_cache()
         c.install(0x40, 0, speculative=True, epoch=1)
-        cleared = c.commit_epoch(1)
+        cleared = c.commit_epoch(1, [0x40])
         assert cleared == 1
         assert c.speculative_lines() == []
 
