@@ -169,7 +169,9 @@ class CacheHierarchy:
         """
         if speculative and epoch is None:
             raise ConfigError("speculative access requires an epoch")
-        self.mshr.retire_completed(cycle)
+        mshr = self.mshr
+        if cycle >= mshr.earliest_completion:
+            mshr.retire_completed(cycle)
         trace = self._trace_full
 
         line1 = self.l1.lookup(addr, cycle)
@@ -207,8 +209,8 @@ class CacheHierarchy:
         l1_victim = self._install_l1(addr, cycle, is_write, speculative, epoch, thread)
         installed.insert(0, "L1")
 
-        if self.mshr.can_allocate(line_addr):
-            self.mshr.allocate(
+        if mshr.can_allocate(line_addr):
+            mshr.allocate(
                 line_addr,
                 issue_cycle=cycle,
                 complete_cycle=cycle + latency,
@@ -218,13 +220,10 @@ class CacheHierarchy:
             )
         else:
             # MSHR file full: the miss queues behind an existing entry.
-            self.mshr.stats.stall_events += 1
+            mshr.stats.stall_events += 1
             latency += self.latency.mshr_full_penalty
-
-        if is_write:
-            resident = self.l1.get_line(addr)
-            if resident is not None:
-                resident.write(cycle)
+        # A write needs no further step: the L1 install above was made with
+        # ``dirty=is_write``, which leaves the line written at ``cycle``.
 
         return AccessResult(
             addr=addr,
@@ -273,7 +272,7 @@ class CacheHierarchy:
         epoch: Optional[int],
         thread: int,
     ) -> Optional[Eviction]:
-        line, eviction = self.l1.install(
+        line, eviction, set_index, way = self.l1.place(
             addr,
             cycle,
             dirty=is_write,
@@ -294,11 +293,7 @@ class CacheHierarchy:
                 eviction.line_addr, cycle, dirty=True, thread=thread
             )
         if speculative and epoch is not None:
-            set_index = self.l1.set_index_of(addr)
-            way = self.l1.way_of(addr)
-            self.tracker.record_install(
-                epoch, "L1", self.l1.line_addr_of(addr), set_index, way if way is not None else -1
-            )
+            self.tracker.record_install(epoch, "L1", line.line_addr, set_index, way)
             if eviction is not None:
                 self.tracker.record_eviction(
                     epoch,
@@ -336,7 +331,7 @@ class CacheHierarchy:
         epoch: Optional[int],
         thread: int,
     ) -> Optional[Eviction]:
-        line, eviction = self.l2.install(
+        line, eviction, set_index, way = self.l2.place(
             addr, cycle, dirty=False, speculative=speculative, epoch=epoch, thread=thread
         )
         if self.obs is not None:
@@ -348,11 +343,7 @@ class CacheHierarchy:
             if eviction.dirty:
                 self.dram.writeback_line(eviction.line_addr)
         if speculative and epoch is not None:
-            set_index = self.l2.set_index_of(addr)
-            way = self.l2.way_of(addr)
-            self.tracker.record_install(
-                epoch, "L2", self.l2.line_addr_of(addr), set_index, way if way is not None else -1
-            )
+            self.tracker.record_install(epoch, "L2", line.line_addr, set_index, way)
             if eviction is not None:
                 self.tracker.record_eviction(
                     epoch,

@@ -13,7 +13,7 @@ replacement policy's ``allowed_ways`` (NoMo partition, used for the L1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..common.config import CacheGeometry
 from ..memory.address import AddressMapper
@@ -44,6 +44,36 @@ class Eviction:
     set_index: int
     way: int
     was_speculative: bool
+
+
+class _SetIndexMemo(dict):
+    """Line number -> set index under one randomized mapping.
+
+    The mapping is a pure function of the permutation and the geometry, so
+    every cache built with them shares one memo and a deep copy of a cache
+    keeps sharing it (copying it would only repeat the same answers).
+    """
+
+    def __deepcopy__(self, memo: dict) -> "_SetIndexMemo":
+        return self
+
+
+#: Process-wide memos keyed by ``(key, bits, rounds, offset_bits, sets)``.
+_SET_INDEX_MEMOS: Dict[Tuple[int, int, int, int, int], _SetIndexMemo] = {}
+
+
+def _shared_set_index_memo(
+    randomizer: RandomizedIndexing, geometry: CacheGeometry
+) -> _SetIndexMemo:
+    """The shared memo for caches of ``geometry`` indexed through ``randomizer``."""
+    key = (
+        randomizer.key,
+        randomizer.bits,
+        randomizer.rounds,
+        geometry.offset_bits,
+        geometry.sets,
+    )
+    return _SET_INDEX_MEMOS.setdefault(key, _SetIndexMemo())
 
 
 def snapshot_set(ways) -> tuple:
@@ -89,14 +119,17 @@ class SetAssociativeCache:
         self._sets: List[Optional[List[Optional[CacheLine]]]] = [None] * geometry.sets
         self.stats = CacheStats()
         # Hot-path precomputes: line/set masks, the (expensive, pure)
-        # randomized set-index function memoized per line number, and an
-        # exact line_addr -> (set_index, way) residency map so lookups are
-        # O(1) instead of a way scan.
+        # randomized set-index function memoized per line number in a memo
+        # shared by every cache with the same permutation, and an exact
+        # line_addr -> (set_index, way) residency map so lookups are O(1)
+        # instead of a way scan. A line is resident iff the map finds it.
         self._offset_bits = geometry.offset_bits
         self._line_mask = ~(geometry.line_size - 1)
         self._set_mask = geometry.sets - 1
         self._rand_mask = (1 << randomizer.bits) - 1 if randomizer is not None else 0
-        self._set_index_cache: dict = {}
+        self._set_index_memo: Optional[_SetIndexMemo] = (
+            _shared_set_index_memo(randomizer, geometry) if randomizer is not None else None
+        )
         self._where: dict = {}
         #: Structural-mutation counter: bumped by install/invalidate/flush/
         #: commit_epoch/clear (recency touches are covered by the hit/miss
@@ -119,19 +152,21 @@ class SetAssociativeCache:
         """Set index of ``addr``, honouring the randomized mapping if present.
 
         The randomized (CEASER-like Feistel) mapping is a pure function of
-        the line number, so it is memoized: experiment working sets touch a
-        bounded set of lines but access each one thousands of times.
+        the line number, so it is memoized once per process and permutation
+        (:func:`_shared_set_index_memo`): experiment working sets touch a
+        bounded set of lines but access each one thousands of times, across
+        many machines built from the same seed.
         """
         line_number = addr >> self._offset_bits
-        cached = self._set_index_cache.get(line_number)
-        if cached is None:
-            if self.randomizer is not None:
-                permuted = self.randomizer.permute(line_number & self._rand_mask)
-            else:
-                permuted = line_number
-            cached = permuted & self._set_mask
-            self._set_index_cache[line_number] = cached
-        return cached
+        memo = self._set_index_memo
+        if memo is None:
+            return line_number & self._set_mask
+        index = memo.get(line_number)
+        if index is None:
+            index = memo[line_number] = (
+                self.randomizer.permute(line_number & self._rand_mask) & self._set_mask
+            )
+        return index
 
     def line_addr_of(self, addr: int) -> int:
         return addr & self._line_mask
@@ -139,17 +174,24 @@ class SetAssociativeCache:
     # -- lookup -------------------------------------------------------------------
 
     def _find(self, addr: int) -> tuple:
-        """Return ``(set_index, way, line)`` or ``(set_index, None, None)``."""
+        """Return ``(set_index, way, line)``, or ``(None, None, None)`` if absent.
+
+        A miss in the residency map is a definite answer, so an absent line
+        never costs a set-index computation. A resident line is never
+        INVALID: invalidation empties the way and installs store only E or M
+        lines, so the ``line_addr`` check only screens out stale entries the
+        batched replay can leave behind.
+        """
         line_addr = addr & self._line_mask
         loc = self._where.get(line_addr)
         if loc is not None:
             set_index, way = loc
             line = self._sets[set_index][way]
-            if line is not None and line.line_addr == line_addr and line.valid:
+            if line is not None and line.line_addr == line_addr:
                 return set_index, way, line
-            # Stale entry (line invalidated in place or way re-used).
+            # Stale entry (way emptied or re-used behind the map's back).
             del self._where[line_addr]
-        return self.set_index_of(addr), None, None
+        return None, None, None
 
     def lookup(self, addr: int, cycle: int = 0, touch: bool = True) -> Optional[CacheLine]:
         """Hit check with stats and (optionally) recency update."""
@@ -159,7 +201,7 @@ class SetAssociativeCache:
         loc = self._where.get(line_addr)
         if loc is not None:
             line = self._sets[loc[0]][loc[1]]
-            if line is not None and line.line_addr == line_addr and line.valid:
+            if line is not None and line.line_addr == line_addr:
                 self.stats.hits += 1
                 if touch:
                     rec = self._recording
@@ -195,14 +237,36 @@ class SetAssociativeCache:
     ) -> tuple:
         """Install the line for ``addr``; return ``(line, eviction_or_None)``.
 
-        Invalid ways are filled first; otherwise the replacement policy picks
+        Empty ways are filled first; otherwise the replacement policy picks
         a victim among the ways the accessing ``thread`` may allocate into.
         ``preferred_way`` pins the destination way (used by restoration to
         put a victim back where the transient line was invalidated).
         """
+        line, eviction, _, _ = self.place(
+            addr, cycle, dirty, speculative, epoch, thread, preferred_way
+        )
+        return line, eviction
+
+    def place(
+        self,
+        addr: int,
+        cycle: int,
+        dirty: bool = False,
+        speculative: bool = False,
+        epoch: Optional[int] = None,
+        thread: int = 0,
+        preferred_way: Optional[int] = None,
+    ) -> tuple:
+        """:meth:`install`, also reporting where the line landed.
+
+        Returns ``(line, eviction_or_None, set_index, way)``: the caller
+        learns the line's location without looking it up again.
+        """
         line_addr = addr & self._line_mask
         set_index, way, existing = self._find(addr)
         self.version += 1
+        if existing is None:
+            set_index = self.set_index_of(addr)
         ways = self._sets[set_index]
         if ways is None:
             ways = self._sets[set_index] = [None] * self.geometry.ways
@@ -214,22 +278,23 @@ class SetAssociativeCache:
             existing.touch(cycle)
             if dirty:
                 existing.write(cycle)
-            return existing, None
+            return existing, None, set_index, way
 
         eviction: Optional[Eviction] = None
         if preferred_way is not None:
             target = preferred_way
         else:
+            # First empty way the policy allows; with none empty, every
+            # allowed way is occupied and they are the victim candidates.
             allowed = self.policy.allowed_ways(thread, self.geometry.ways)
-            invalid = [w for w in allowed if ways[w] is None or not ways[w].valid]
-            if invalid:
-                target = invalid[0]
+            for target in allowed:
+                if ways[target] is None:
+                    break
             else:
-                candidates = [w for w in allowed if ways[w] is not None]
-                target = self.policy.choose_victim(set_index, ways, candidates)
+                target = self.policy.choose_victim(set_index, ways, allowed)
 
         victim = ways[target]
-        if victim is not None and victim.valid:
+        if victim is not None:
             eviction = Eviction(
                 line_addr=victim.line_addr,
                 dirty=victim.dirty,
@@ -240,8 +305,8 @@ class SetAssociativeCache:
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.dirty_evictions += 1
-        if victim is not None and self._where.get(victim.line_addr) == (set_index, target):
-            del self._where[victim.line_addr]
+            if self._where.get(victim.line_addr) == (set_index, target):
+                del self._where[victim.line_addr]
 
         state = CoherenceState.MODIFIED if dirty else CoherenceState.EXCLUSIVE
         new_line = CacheLine(
@@ -258,14 +323,14 @@ class SetAssociativeCache:
         self.stats.installs += 1
         if speculative:
             self.stats.spec_installs += 1
-        return new_line, eviction
+        return new_line, eviction, set_index, target
 
     # -- removal -----------------------------------------------------------------
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
         """Remove the line for ``addr``; return it (pre-invalidation) or None."""
         set_index, way, line = self._find(addr)
-        if line is None or way is None:
+        if line is None:
             return None
         self.version += 1
         rec = self._recording
@@ -339,21 +404,15 @@ class SetAssociativeCache:
         return out
 
     def resident_lines(self) -> List[CacheLine]:
-        """Valid lines in set-index order, ways in way order."""
-        return [
-            l
-            for ways in self._sets
-            if ways is not None
-            for l in ways
-            if l is not None and l.valid
-        ]
+        """Resident lines in set-index order, ways in way order."""
+        return [l for ways in self._sets if ways is not None for l in ways if l is not None]
 
     def set_occupancy(self, set_index: int) -> int:
-        """Number of valid lines currently in ``set_index``."""
+        """Number of lines currently resident in ``set_index``."""
         ways = self._sets[set_index]
         if ways is None:
             return 0
-        return sum(1 for l in ways if l is not None and l.valid)
+        return sum(1 for l in ways if l is not None)
 
     def clear(self) -> None:
         """Empty the cache: every set returns to unallocated, in place."""

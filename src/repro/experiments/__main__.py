@@ -37,15 +37,38 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import registry
 
 #: Default cache location (overridable with --cache-dir / REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = ".campaign-cache"
+
+
+def _checked(convert: Callable, accept: Callable, what: str) -> Callable:
+    """An argparse ``type``: ``convert`` the text, reject what ``accept`` refuses."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_seconds = _checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a positive number of seconds"
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -70,10 +93,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help="fewer samples, faster run"
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument(
+        "--seed", type=_non_negative_int, default=0, help="master seed (>= 0)"
+    )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="worker processes for shard execution (default: all cores); "
@@ -95,7 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=1,
         metavar="N",
         help="retry a task up to N times on transient faults (OSError, "
@@ -104,7 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--task-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="per-attempt wall-clock budget for one shard/run task; an "

@@ -90,6 +90,16 @@ class MshrFile:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def earliest_completion(self) -> int:
+        """No entry completes before this cycle (a lower bound).
+
+        It may sit below the true earliest completion after entries are
+        dropped without a retire, and is a huge sentinel when the file is
+        empty; :meth:`retire_completed` at an earlier cycle retires nothing.
+        """
+        return self._min_complete
+
     def can_allocate(self, line_addr: int) -> bool:
         """True if a miss to ``line_addr`` can proceed (free slot or merge)."""
         return line_addr in self._entries or len(self._entries) < self.capacity

@@ -153,3 +153,23 @@ class TestCliFlags:
         b = get("fig7").run(quick=True, seed=2).metrics["mean_difference"]
         assert a != b  # different noise streams
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [
+            ("--jobs", "0", "positive integer"),
+            ("--jobs", "-3", "positive integer"),
+            ("--retries", "-2", "non-negative integer"),
+            ("--task-timeout", "-5", "positive number of seconds"),
+            ("--task-timeout", "nan", "positive number of seconds"),
+            ("--seed", "-1", "non-negative integer"),
+        ],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, flag, value, expected, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig3", "--quick", "--no-cache", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a {expected}, got '{value}'" in err

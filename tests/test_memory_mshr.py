@@ -57,6 +57,18 @@ class TestRetirement:
         m.clear()
         assert len(m) == 0
 
+    def test_earliest_completion_bounds_retirement(self):
+        m = MshrFile()
+        empty = m.earliest_completion
+        m.allocate(0x0, 0, 50)
+        m.allocate(0x40, 0, 30)
+        assert m.earliest_completion == 30
+        assert m.retire_completed(29) == []
+        assert [e.line_addr for e in m.retire_completed(30)] == [0x40]
+        assert m.earliest_completion == 50
+        m.retire_completed(50)
+        assert m.earliest_completion == empty > 1 << 40
+
 
 class TestSpeculativeCleaning:
     def test_inflight_speculative_selection(self):
