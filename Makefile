@@ -2,11 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-core bench-e2e coverage experiments report quick-report campaign-smoke campaign-fault-smoke campaign-top matrix-smoke rewind-smoke interference-smoke synth-smoke stats examples lint specct-smoke clean
-
-# Execution backend for campaign-smoke (scalar | batched); results are
-# bit-identical either way — CI runs the smoke once per backend.
-BACKEND ?= scalar
+.PHONY: install test bench bench-core bench-e2e coverage experiments report quick-report campaign-smoke campaign-fault-smoke campaign-top invariance-smoke stats examples lint specct-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -25,11 +21,9 @@ bench-core:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_core.py -q
 	@$(PYTHON) -c "import json; d = json.load(open('BENCH_core.json')); \
 	    m, s = d['measured'], d['speedup_vs_seed']; \
-	    print('bench-core: %.3f ms/round (%.2fx vs seed), %.0f inst/s (%.2fx), \
-	batched %.4f ms/round (%.1fx vs scalar)' % \
+	    print('bench-core: %.3f ms/round (%.2fx vs seed), %.0f inst/s (%.2fx)' % \
 	    (m['fig3_round_ms'], s['fig3_round_normalized'], \
-	     m['synthetic_ips'], s['synthetic_ips_normalized'], \
-	     m['fig3_round_batched_ms'], m['batched_speedup_vs_scalar']))"
+	     m['synthetic_ips'], s['synthetic_ips_normalized']))"
 
 # End-to-end benchmark (benchmarks/e2e/README.md): all four workloads at
 # seed 0, results in .bench-out/bench-e2e.json. Fails when a workload
@@ -64,11 +58,9 @@ quick-report:
 # (reports, stats, OpenMetrics, events).
 campaign-smoke:
 	$(PYTHON) -m repro.experiments report --quick --jobs 1 --no-cache \
-	    --backend $(BACKEND) \
 	    --out REPORT-campaign-jobs1.md --stats-out campaign-stats-jobs1.json \
 	    --metrics-out campaign-metrics-jobs1.prom --events-out campaign-events-jobs1.jsonl
 	$(PYTHON) -m repro.experiments report --quick --jobs 2 --no-cache \
-	    --backend $(BACKEND) \
 	    --out REPORT-campaign-jobs2.md --stats-out campaign-stats-jobs2.json \
 	    --metrics-out campaign-metrics-jobs2.prom --events-out campaign-events-jobs2.jsonl
 	$(PYTHON) -c "import json; a, b = (json.load(open(p)) for p in \
@@ -84,84 +76,23 @@ campaign-smoke:
 	    print('campaign-smoke: canonical events jobs-invariant')"
 	$(PYTHON) -m repro.tools.campaign_top campaign-events-jobs2.jsonl
 
-# Matrix smoke (docs/matrix.md): the (attack x defense x channel) grid at
-# quick scale — jobs=1 vs jobs=4 and scalar vs batched must produce
-# byte-identical result JSON (the campaign determinism contract applied
-# to the matrix experiment), and every leakage/overhead check must pass.
-# CI uploads the rendered grid report.
-matrix-smoke:
-	$(PYTHON) -m repro.experiments matrix --quick --jobs 1 --no-cache \
-	    --backend scalar --json matrix-jobs1-scalar.json > REPORT-matrix.md
-	@cat REPORT-matrix.md
-	$(PYTHON) -m repro.experiments matrix --quick --jobs 4 --no-cache \
-	    --backend scalar --json matrix-jobs4-scalar.json
-	$(PYTHON) -m repro.experiments matrix --quick --jobs 4 --no-cache \
-	    --backend batched --json matrix-jobs4-batched.json
-	$(PYTHON) -c "import json; ref, *rest = [json.load(open(p)) for p in \
-	    ('matrix-jobs1-scalar.json', 'matrix-jobs4-scalar.json', \
-	     'matrix-jobs4-batched.json')]; \
-	    assert all(r == ref for r in rest), \
-	    'matrix grid diverged across jobs counts / backends'; \
-	    print('matrix-smoke: jobs- and backend-invariant')"
-
-# SpectreRewind smoke (docs/channels.md): the divider-contention channel
-# per defense at quick scale — jobs=1 vs jobs=4 and scalar vs batched
-# must produce byte-identical result JSON, and every divider-delta check
-# must pass (leak under CleanupSpec/SafeSpec, covered by CacheSquash).
-rewind-smoke:
-	$(PYTHON) -m repro.experiments ext_rewind --quick --jobs 1 --no-cache \
-	    --backend scalar --json rewind-jobs1-scalar.json > REPORT-rewind.md
-	@cat REPORT-rewind.md
-	$(PYTHON) -m repro.experiments ext_rewind --quick --jobs 4 --no-cache \
-	    --backend scalar --json rewind-jobs4-scalar.json
-	$(PYTHON) -m repro.experiments ext_rewind --quick --jobs 4 --no-cache \
-	    --backend batched --json rewind-jobs4-batched.json
-	$(PYTHON) -c "import json; ref, *rest = [json.load(open(p)) for p in \
-	    ('rewind-jobs1-scalar.json', 'rewind-jobs4-scalar.json', \
-	     'rewind-jobs4-batched.json')]; \
-	    assert all(r == ref for r in rest), \
-	    'rewind results diverged across jobs counts / backends'; \
-	    print('rewind-smoke: jobs- and backend-invariant')"
-
-# Two-context interference smoke (docs/channels.md): the shared-port
-# channel per defense — the harness pins scalar cores internally, so the
-# backend flag exercises the demotion contract rather than two code
-# paths; byte-identity across jobs and backends is still asserted.
-interference-smoke:
-	$(PYTHON) -m repro.experiments ext_interference --quick --jobs 1 --no-cache \
-	    --backend scalar --json interference-jobs1-scalar.json > REPORT-interference.md
-	@cat REPORT-interference.md
-	$(PYTHON) -m repro.experiments ext_interference --quick --jobs 4 --no-cache \
-	    --backend scalar --json interference-jobs4-scalar.json
-	$(PYTHON) -m repro.experiments ext_interference --quick --jobs 4 --no-cache \
-	    --backend batched --json interference-jobs4-batched.json
-	$(PYTHON) -c "import json; ref, *rest = [json.load(open(p)) for p in \
-	    ('interference-jobs1-scalar.json', 'interference-jobs4-scalar.json', \
-	     'interference-jobs4-batched.json')]; \
-	    assert all(r == ref for r in rest), \
-	    'interference results diverged across jobs counts / backends'; \
-	    print('interference-smoke: jobs- and backend-invariant')"
-
-# Synthesis smoke (docs/static-analysis.md "Gadget synthesis"): the
-# generate -> explorer-filter -> simulator-confirm pipeline at quick
-# scale — jobs=1 vs jobs=4 and scalar vs batched must produce
-# byte-identical result JSON, and every discovery/agreement check must
-# pass (>= 3 distinct confirmed gadgets beyond the hand-written pair).
-# CI uploads the rendered report.
-synth-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments synth --quick --jobs 1 --no-cache \
-	    --backend scalar --json synth-jobs1-scalar.json > REPORT-synth.md
-	@cat REPORT-synth.md
-	PYTHONPATH=src $(PYTHON) -m repro.experiments synth --quick --jobs 4 --no-cache \
-	    --backend scalar --json synth-jobs4-scalar.json
-	PYTHONPATH=src $(PYTHON) -m repro.experiments synth --quick --jobs 4 --no-cache \
-	    --backend batched --json synth-jobs4-batched.json
-	$(PYTHON) -c "import json; ref, *rest = [json.load(open(p)) for p in \
-	    ('synth-jobs1-scalar.json', 'synth-jobs4-scalar.json', \
-	     'synth-jobs4-batched.json')]; \
-	    assert all(r == ref for r in rest), \
-	    'synth results diverged across jobs counts / backends'; \
-	    print('synth-smoke: jobs- and backend-invariant')"
+# Invariance smoke for one experiment (EXP=matrix | ext_rewind |
+# ext_interference | synth; see docs/matrix.md, docs/channels.md and
+# docs/static-analysis.md): run it at quick scale on 1 and 4 workers, no
+# cache, and assert the two result JSONs are byte-identical (the
+# docs/campaign.md determinism contract). The experiment's own checks
+# must pass too. CI uploads REPORT-$(EXP).md and $(EXP)-jobs1.json.
+invariance-smoke:
+	@test -n "$(EXP)" || { echo 'usage: make invariance-smoke EXP=<experiment id>'; exit 2; }
+	PYTHONPATH=src $(PYTHON) -m repro.experiments $(EXP) --quick --jobs 1 --no-cache \
+	    --json $(EXP)-jobs1.json > REPORT-$(EXP).md
+	@cat REPORT-$(EXP).md
+	PYTHONPATH=src $(PYTHON) -m repro.experiments $(EXP) --quick --jobs 4 --no-cache \
+	    --json $(EXP)-jobs4.json
+	$(PYTHON) -c "import json; a, b = (json.load(open(p)) for p in \
+	    ('$(EXP)-jobs1.json', '$(EXP)-jobs4.json')); \
+	    assert a == b, '$(EXP) results diverged across jobs counts'; \
+	    print('invariance-smoke: $(EXP) jobs-invariant')"
 
 # Live dashboard over an --events-out stream (EVENTS=path to override).
 EVENTS ?= campaign-events.jsonl
@@ -217,8 +148,8 @@ specct-smoke:
 	    fi; \
 	    echo "specct-smoke: gadget flagged (exit 1), cross-validation passed"
 
-# Line-coverage floor over the execution backends (src/repro/cpu) and the
-# decoded-program tables (src/repro/isa/decoded.py); uses coverage.py when
+# Line-coverage floor over the core (src/repro/cpu), the decoded-program
+# tables (src/repro/isa/decoded.py) and the analyses; uses coverage.py when
 # installed, else a stdlib tracer. Writes COVERAGE.json (CI artifact).
 coverage:
 	PYTHONPATH=src $(PYTHON) -m repro.tools.coverage_gate --out COVERAGE.json
@@ -234,9 +165,7 @@ examples:
 
 clean:
 	rm -rf .pytest_cache .hypothesis build dist *.egg-info REPORT.md REPORT-faults.md
-	rm -f REPORT-campaign-jobs*.md campaign-stats-jobs*.json \
+	rm -f REPORT-*.md *-jobs1.json *-jobs2.json *-jobs4.json \
 	    campaign-metrics-jobs*.prom campaign-metrics-jobs*.prom.folded \
-	    campaign-events-jobs*.jsonl REPORT-matrix.md matrix-jobs*.json \
-	    REPORT-synth.md synth-jobs*.json REPORT-rewind.md rewind-jobs*.json \
-	    REPORT-interference.md interference-jobs*.json
+	    campaign-events-jobs*.jsonl
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -34,7 +34,7 @@ class BenchCalibration:
     """Session-shared calibration state.
 
     One instance serves every benchmark in a session, so rows measured for
-    different configurations (e.g. the scalar and batched backend rows in
+    different configurations (e.g. the fig3 and interference rows in
     BENCH_core.json) are normalized by the *same* denominator and stay
     directly comparable. ``refresh()`` interleaves re-measurement with the
     workloads and keeps the minimum: on busy hosts the interpreter's

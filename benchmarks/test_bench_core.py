@@ -2,20 +2,15 @@
 
 Run via ``make bench-core`` (plain pytest, no pytest-benchmark): it times
 
-* one fig3-style attack round (prepare once, then steady-state samples)
-  under **both** execution backends — the scalar reference and the batched
-  memoized-replay backend (``repro.cpu.batched``), and
+* one fig3-style attack round (prepare once, then steady-state samples),
+* one two-context interference round, and
 * synthetic SPEC-profile workload execution (gcc_r, 20k instructions),
 
 normalizes everything against a pure-Python calibration loop shared
 session-wide (see ``benchmarks/conftest.py`` — one denominator, so the
-scalar and batched rows are directly comparable), rewrites
-``BENCH_core.json`` at the repo root, and **fails** if
-
-* a normalized metric regressed more than 25 % against the committed
-  baseline, or
-* the batched backend's steady-state round loop is less than 5x faster
-  than the scalar one (the memoization gate).
+rows are directly comparable), rewrites ``BENCH_core.json`` at the repo
+root, and **fails** if a normalized metric regressed more than 25 %
+against the committed baseline.
 
 The ``seed_reference`` block in the JSON preserves what the
 pre-optimization implementation measured (same procedure, same machine as
@@ -36,10 +31,6 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 #: Allowed regression of normalized metrics vs the committed baseline.
 REGRESSION_FACTOR = 1.25
 
-#: Required steady-state speedup of the batched backend over scalar on the
-#: fig3 round loop (conservative: replay typically lands far above this).
-BATCHED_SPEEDUP_FLOOR = 5.0
-
 #: Measured on the pre-optimization implementation (isinstance-dispatch
 #: interpreter), same procedure and machine as the first committed baseline.
 SEED_REFERENCE = {
@@ -51,28 +42,20 @@ SEED_REFERENCE = {
 }
 
 
-def fig3_round_seconds(
-    rounds: int = 50, repeats: int = 6, backend: str = "scalar"
-) -> float:
-    """Best-of-N seconds per steady-state fig3 attack round.
-
-    The warmup rounds also populate the batched backend's transition memo,
-    so both backends are timed in their steady state.
-    """
+def fig3_round_seconds(rounds: int = 50, repeats: int = 6) -> float:
+    """Best-of-N seconds per steady-state fig3 attack round."""
     from repro.attack import GadgetParams, UnxpecAttack
-    from repro.cpu.backend import use_backend
 
-    with use_backend(backend):
-        attack = UnxpecAttack(params=GadgetParams(n_loads=1), seed=0)
-        attack.prepare()
-        for bit in (0, 1, 0, 1):  # warmup: decode + fault in the working set
-            attack.sample(bit)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for i in range(rounds):
-                attack.sample(i & 1)
-            best = min(best, (time.perf_counter() - t0) / rounds)
+    attack = UnxpecAttack(params=GadgetParams(n_loads=1), seed=0)
+    attack.prepare()
+    for bit in (0, 1, 0, 1):  # warmup: decode + fault in the working set
+        attack.sample(bit)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for i in range(rounds):
+            attack.sample(i & 1)
+        best = min(best, (time.perf_counter() - t0) / rounds)
     return best
 
 
@@ -80,8 +63,7 @@ def interference_round_seconds(rounds: int = 20, repeats: int = 5) -> float:
     """Best-of-N seconds per two-context interference round (ext_interference).
 
     One round = victim mistraining + recorded victim run + attacker probe
-    replay — the scalar-only hot path of the shared-port channel (the
-    harness pins scalar cores; there is no batched variant to time).
+    replay — the hot path of the shared-port channel.
     """
     from repro.attack import InterferenceHarness
 
@@ -119,9 +101,7 @@ def synthetic_ips(instructions: int = 20_000, repeats: int = 5):
 
 
 def measure(cal: BenchCalibration) -> dict:
-    round_s = fig3_round_seconds(backend="scalar")
-    cal.refresh()
-    batched_s = fig3_round_seconds(backend="batched")
+    round_s = fig3_round_seconds()
     cal.refresh()
     interference_s = interference_round_seconds()
     cal.refresh()
@@ -131,9 +111,6 @@ def measure(cal: BenchCalibration) -> dict:
         "calibration_s": seconds,
         "fig3_round_ms": round_s * 1e3,
         "fig3_round_normalized": round_s / seconds,
-        "fig3_round_batched_ms": batched_s * 1e3,
-        "fig3_round_batched_normalized": batched_s / seconds,
-        "batched_speedup_vs_scalar": round_s / batched_s,
         "interference_round_ms": interference_s * 1e3,
         "interference_round_normalized": interference_s / seconds,
         "synthetic_ips": ips,
@@ -163,12 +140,6 @@ def test_bench_core_and_gate(bench_calibration):
     BENCH_PATH.write_text(json.dumps(document, indent=2) + "\n")
     print(json.dumps(document, indent=2))
 
-    assert measured["batched_speedup_vs_scalar"] >= BATCHED_SPEEDUP_FLOOR, (
-        "batched backend lost its memoization win on the fig3 round loop: "
-        f"{measured['batched_speedup_vs_scalar']:.2f}x < "
-        f"{BATCHED_SPEEDUP_FLOOR:.1f}x required"
-    )
-
     if baseline is not None:
         limit = baseline["fig3_round_normalized"] * REGRESSION_FACTOR
         assert measured["fig3_round_normalized"] <= limit, (
@@ -189,14 +160,6 @@ def test_bench_core_and_gate(bench_calibration):
                 f"BENCH_core.json: {measured['interference_round_normalized']:.4f}"
                 f" > {limit:.4f} "
                 f"(baseline {baseline['interference_round_normalized']:.4f})"
-            )
-        if "fig3_round_batched_normalized" in baseline:
-            limit = baseline["fig3_round_batched_normalized"] * REGRESSION_FACTOR
-            assert measured["fig3_round_batched_normalized"] <= limit, (
-                "batched round loop regressed >25% vs committed "
-                f"BENCH_core.json: {measured['fig3_round_batched_normalized']:.4f}"
-                f" > {limit:.4f} "
-                f"(baseline {baseline['fig3_round_batched_normalized']:.4f})"
             )
 
 

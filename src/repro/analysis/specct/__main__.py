@@ -23,6 +23,7 @@ import argparse
 import sys
 from typing import List, Optional, Tuple
 
+from ...common.argtypes import positive_int
 from ...common.errors import ReproError
 from .analyzer import AnalyzerConfig, SpecCTAnalyzer
 
@@ -110,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--window",
-        type=int,
+        type=positive_int,
         default=AnalyzerConfig.window,
         help="speculation window depth in instructions (default: %(default)s)",
     )
@@ -133,13 +134,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--max-paths",
-        type=int,
+        type=positive_int,
         default=None,
         help="explorer: path/fork budget (default: %s)" % "1024",
     )
     parser.add_argument(
         "--max-steps",
-        type=int,
+        type=positive_int,
         default=None,
         help="explorer: total instruction-step budget (default: %s)" % "100000",
     )

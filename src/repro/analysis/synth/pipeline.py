@@ -25,7 +25,7 @@ Confirmed leakers are greedily **minimized**: instructions are deleted
 one at a time while both oracles keep confirming, yielding exemplar
 gadgets.  Everything here is a pure function of its arguments — the
 ``synth`` experiment shards it by batch and merges byte-identically at
-any worker count or backend.
+any worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ...attack.layout import DEFAULT_LAYOUT, AttackLayout
 from ...cache.hierarchy import CacheHierarchy
-from ...cpu.backend import make_core
+from ...cpu.core import Core
 from ...defense.cleanupspec import CleanupSpec
 from ...isa.instructions import Halt
 from ...isa.program import Program
@@ -127,16 +127,10 @@ class CandidateOutcome:
 def simulate_cycles(
     program: Program, secret_bit: int, config: PipelineConfig
 ) -> int:
-    """End-to-end cycles of one run under CleanupSpec with the given secret.
-
-    Built through :func:`make_core`, so the active execution backend
-    (scalar or batched) applies — the two are bit-identical by the
-    differential-harness contract, which is what makes the whole
-    experiment backend-invariant.
-    """
+    """End-to-end cycles of one run under CleanupSpec with the given secret."""
     hierarchy = CacheHierarchy(seed=config.sim_seed)
     defense = CleanupSpec(hierarchy)
-    core = make_core(hierarchy, defense, config=hierarchy.config.core)
+    core = Core(hierarchy, defense, config=hierarchy.config.core)
     hierarchy.dram.poke(config.layout.secret_addr, secret_bit & 1)
     result = core.run(program, max_instructions=config.max_instructions)
     return result.cycles

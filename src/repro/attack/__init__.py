@@ -13,14 +13,6 @@ from .channel import (
     TrialObservation,
     make_channel,
 )
-from .coding import (
-    code_rate,
-    decode_bits,
-    decode_block,
-    encode_bits,
-    encode_block,
-    expansion_factor,
-)
 from .eviction_sets import (
     EvictionSet,
     build_prime_addresses,
@@ -78,12 +70,6 @@ __all__ = [
     "ContentionTimingChannel",
     "CHANNELS",
     "make_channel",
-    "encode_bits",
-    "decode_bits",
-    "encode_block",
-    "decode_block",
-    "code_rate",
-    "expansion_factor",
     "CalibrationResult",
     "calibrate",
     "UnxpecAttack",

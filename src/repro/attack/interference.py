@@ -25,11 +25,7 @@ Two machines run under a deterministic one-way interleave:
 
 The interleave is strictly one-way (victim recorded first, attacker
 replays), which keeps both runs' timings well-defined in the one-pass
-timestamp model. Both cores are **scalar** :class:`~repro.cpu.core.Core`
-instances constructed directly: the timelines couple two separate runs,
-which the batched backend's memoized replay cannot see (it demotes such
-cores to scalar anyway — constructing scalar cores makes the harness
-trivially backend-invariant).
+timestamp model.
 
 Mistraining happens *across* runs: the victim's branch predictor persists
 between :meth:`InterferenceHarness.sample` calls, so each sample re-trains

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import SystemConfig
 from ..common.errors import AttackError
-from ..cpu.backend import make_core
+from ..cpu.core import Core
 from ..cpu.noise import NoiseModel
 from ..cpu.timing import RunResult, SquashEvent
 from ..defense.base import Defense
@@ -72,7 +72,7 @@ class RewindAttack:
         self.hierarchy = CacheHierarchy(config=config, seed=seed)
         factory = defense_factory or (lambda h: CleanupSpec(h))
         self.defense = factory(self.hierarchy)
-        self.core = make_core(
+        self.core = Core(
             self.hierarchy,
             self.defense,
             config=self.hierarchy.config.core,
@@ -120,17 +120,13 @@ class RewindAttack:
     def _extract(self, secret_bit: int, result: RunResult) -> RewindSample:
         ts1, ts2 = self.gadget.ts_regs
         squash = self._attack_squash(result)
-        # Diagnostics only: under the batched backend a memoized replay does
-        # not re-run the scalar engine, so the pool may be absent or stale.
-        # The channel observables (latency, stall) come from RunResult and
-        # are replay-exact.
-        fu = getattr(self.core, "fu_pool", None)
+        fu = self.core.fu_pool
         return RewindSample(
             secret=secret_bit & 1,
             latency=result.timer_delta(ts1, ts2),
             stall=squash.outcome.stall_cycles,
-            div_contended=fu.div_contended if fu is not None else 0,
-            div_issues=fu.div_issues if fu is not None else 0,
+            div_contended=fu.div_contended,
+            div_issues=fu.div_issues,
             inflight_transient=squash.inflight_transient,
             total_cycles=result.cycles,
         )

@@ -20,7 +20,7 @@ from typing import List, Optional
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import SystemConfig
 from ..common.errors import AttackError
-from ..cpu.backend import make_core
+from ..cpu.core import Core
 from ..defense.base import Defense
 from ..defense.unsafe import UnsafeBaseline
 from ..isa.builder import ProgramBuilder
@@ -79,7 +79,7 @@ class SpectreV1Attack:
         self.hierarchy = CacheHierarchy(config=config, seed=seed)
         factory = defense_factory or (lambda h: UnsafeBaseline(h))
         self.defense: Defense = factory(self.hierarchy)
-        self.core = make_core(
+        self.core = Core(
             self.hierarchy, self.defense, config=self.hierarchy.config.core
         )
         self._round: Optional[Program] = None

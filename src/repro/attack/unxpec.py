@@ -23,7 +23,7 @@ from typing import Callable, List, Optional
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import SystemConfig
 from ..common.errors import AttackError
-from ..cpu.backend import make_core
+from ..cpu.core import Core
 from ..cpu.noise import NoiseModel
 from ..cpu.timing import RunResult, SquashEvent
 from ..defense.base import Defense
@@ -74,7 +74,7 @@ class UnxpecAttack:
         self.hierarchy = CacheHierarchy(config=config, seed=seed)
         factory = defense_factory or (lambda h: CleanupSpec(h))
         self.defense = factory(self.hierarchy)
-        self.core = make_core(
+        self.core = Core(
             self.hierarchy,
             self.defense,
             config=self.hierarchy.config.core,

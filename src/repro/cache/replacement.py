@@ -48,10 +48,6 @@ class RandomReplacement:
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        #: Total RNG draws performed; the batched backend compares this
-        #: against the count at snapshot time to know whether the generator
-        #: state moved (reading it is much cheaper than ``bit_generator.state``).
-        self.draws = 0
 
     def choose_victim(
         self,
@@ -61,7 +57,6 @@ class RandomReplacement:
     ) -> int:
         if not candidates:
             raise ValueError("no candidate ways to evict")
-        self.draws += 1
         return int(candidates[self._rng.integers(len(candidates))])
 
     def allowed_ways(self, thread: int, ways: int) -> List[int]:

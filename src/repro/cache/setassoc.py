@@ -76,29 +76,6 @@ def _shared_set_index_memo(
     return _SET_INDEX_MEMOS.setdefault(key, _SetIndexMemo())
 
 
-def snapshot_set(ways) -> tuple:
-    """Immutable per-way snapshot of one set's lines.
-
-    ``None`` for empty ways, else the full 7-field line tuple. Used by the
-    batched backend both as the copy-on-first-touch undo record and as the
-    canonical per-set state for interning.
-    """
-    return tuple(
-        None
-        if line is None
-        else (
-            line.line_addr,
-            line.state,
-            line.dirty,
-            line.speculative,
-            line.epoch,
-            line.installed_at,
-            line.last_access,
-        )
-        for line in ways
-    )
-
-
 class SetAssociativeCache:
     """One cache level."""
 
@@ -131,20 +108,6 @@ class SetAssociativeCache:
             _shared_set_index_memo(randomizer, geometry) if randomizer is not None else None
         )
         self._where: dict = {}
-        #: Structural-mutation counter: bumped by install/invalidate/flush/
-        #: commit_epoch/clear (recency touches are covered by the hit/miss
-        #: stat counters, which every lookup bumps). The batched backend uses
-        #: ``(version, stats.hits, stats.misses)`` to detect out-of-band
-        #: mutations between memoized rounds.
-        self.version = 0
-        #: Copy-on-first-touch recording (batched backend): when a dict is
-        #: attached, every mutating path snapshots the touched set's content
-        #: *before* its first mutation of the round, keyed by set index.
-        self._recording: Optional[dict] = None
-        #: Set True when a whole-cache mutation (clear) happens while a
-        #: recording is attached — the round's transition is then too big to
-        #: memoize and is discarded.
-        self._record_spill = False
 
     # -- indexing ---------------------------------------------------------------
 
@@ -176,42 +139,31 @@ class SetAssociativeCache:
     def _find(self, addr: int) -> tuple:
         """Return ``(set_index, way, line)``, or ``(None, None, None)`` if absent.
 
-        A miss in the residency map is a definite answer, so an absent line
-        never costs a set-index computation. A resident line is never
-        INVALID: invalidation empties the way and installs store only E or M
-        lines, so the ``line_addr`` check only screens out stale entries the
-        batched replay can leave behind.
+        The residency map is exact (only this class writes the way lists,
+        and every write keeps the map in step), so a miss in it is a
+        definite answer and an absent line never costs a set-index
+        computation. A resident line is never INVALID: invalidation empties
+        the way and installs store only E or M lines.
         """
-        line_addr = addr & self._line_mask
-        loc = self._where.get(line_addr)
-        if loc is not None:
-            set_index, way = loc
-            line = self._sets[set_index][way]
-            if line is not None and line.line_addr == line_addr:
-                return set_index, way, line
-            # Stale entry (way emptied or re-used behind the map's back).
-            del self._where[line_addr]
-        return None, None, None
+        loc = self._where.get(addr & self._line_mask)
+        if loc is None:
+            return None, None, None
+        set_index, way = loc
+        return set_index, way, self._sets[set_index][way]
 
     def lookup(self, addr: int, cycle: int = 0, touch: bool = True) -> Optional[CacheLine]:
         """Hit check with stats and (optionally) recency update."""
         # Hot path: the residency-map check is inlined (rather than going
         # through _find) — lookup() runs once per hierarchy access.
-        line_addr = addr & self._line_mask
-        loc = self._where.get(line_addr)
-        if loc is not None:
-            line = self._sets[loc[0]][loc[1]]
-            if line is not None and line.line_addr == line_addr:
-                self.stats.hits += 1
-                if touch:
-                    rec = self._recording
-                    if rec is not None and loc[0] not in rec:
-                        rec[loc[0]] = snapshot_set(self._sets[loc[0]])
-                    line.last_access = cycle
-                return line
-            del self._where[line_addr]
-        self.stats.misses += 1
-        return None
+        loc = self._where.get(addr & self._line_mask)
+        if loc is None:
+            self.stats.misses += 1
+            return None
+        line = self._sets[loc[0]][loc[1]]
+        self.stats.hits += 1
+        if touch:
+            line.last_access = cycle
+        return line
 
     def contains(self, addr: int) -> bool:
         """Presence probe without statistics or recency side effects."""
@@ -264,21 +216,16 @@ class SetAssociativeCache:
         """
         line_addr = addr & self._line_mask
         set_index, way, existing = self._find(addr)
-        self.version += 1
-        if existing is None:
-            set_index = self.set_index_of(addr)
-        ways = self._sets[set_index]
-        if ways is None:
-            ways = self._sets[set_index] = [None] * self.geometry.ways
-        rec = self._recording
-        if rec is not None and set_index not in rec:
-            rec[set_index] = snapshot_set(ways)
         if existing is not None:
             # Already present — refresh rather than duplicate.
             existing.touch(cycle)
             if dirty:
                 existing.write(cycle)
             return existing, None, set_index, way
+        set_index = self.set_index_of(addr)
+        ways = self._sets[set_index]
+        if ways is None:
+            ways = self._sets[set_index] = [None] * self.geometry.ways
 
         eviction: Optional[Eviction] = None
         if preferred_way is not None:
@@ -305,8 +252,7 @@ class SetAssociativeCache:
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.dirty_evictions += 1
-            if self._where.get(victim.line_addr) == (set_index, target):
-                del self._where[victim.line_addr]
+            del self._where[victim.line_addr]
 
         state = CoherenceState.MODIFIED if dirty else CoherenceState.EXCLUSIVE
         new_line = CacheLine(
@@ -332,15 +278,10 @@ class SetAssociativeCache:
         set_index, way, line = self._find(addr)
         if line is None:
             return None
-        self.version += 1
-        rec = self._recording
-        if rec is not None and set_index not in rec:
-            rec[set_index] = snapshot_set(self._sets[set_index])
-        removed = line
         self._sets[set_index][way] = None
-        self._where.pop(line.line_addr, None)
+        del self._where[line.line_addr]
         self.stats.invalidations += 1
-        return removed
+        return line
 
     def way_of(self, addr: int) -> Optional[int]:
         """Way currently holding ``addr``'s line, if resident."""
@@ -367,28 +308,17 @@ class SetAssociativeCache:
         another epoch or already cleared (a duplicate address) is skipped.
         """
         cleared = 0
-        rec = self._recording
         where = self._where
         sets = self._sets
         for line_addr in line_addrs:
             loc = where.get(line_addr)
             if loc is None:
                 continue
-            set_index, way = loc
-            line = sets[set_index][way]
-            if (
-                line is None
-                or line.line_addr != line_addr
-                or not line.speculative
-                or line.epoch != epoch
-            ):
+            line = sets[loc[0]][loc[1]]
+            if not line.speculative or line.epoch != epoch:
                 continue
-            if rec is not None and set_index not in rec:
-                rec[set_index] = snapshot_set(sets[set_index])
             line.commit()
             cleared += 1
-        if cleared:
-            self.version += 1
         return cleared
 
     def speculative_lines(self, epoch: Optional[int] = None) -> List[CacheLine]:
@@ -416,9 +346,6 @@ class SetAssociativeCache:
 
     def clear(self) -> None:
         """Empty the cache: every set returns to unallocated, in place."""
-        self.version += 1
-        if self._recording is not None:
-            self._record_spill = True
         self._sets[:] = [None] * len(self._sets)
         self._where.clear()
 

@@ -68,10 +68,6 @@ class TaskSpec:
     backoff_cap: float = 2.0
     faults: Optional[FaultPlan] = None
     record_spans: bool = True
-    #: Execution backend the worker selects around the experiment run
-    #: (see :mod:`repro.cpu.backend`). Results are backend-agnostic —
-    #: cache keys and digests do not include it.
-    backend: str = "scalar"
 
     @property
     def shard_index(self) -> int:
@@ -177,14 +173,13 @@ def _attempt_deadline(seconds: Optional[float]):
 
 def _run_attempt(task: TaskSpec, attempt: int, faults: FaultPlan) -> _TaskResult:
     """Run one task attempt under its own observability scope (worker side)."""
-    from ..cpu.backend import use_backend
     from ..obs import Observability, observe
 
     started = time.perf_counter()
     # "squash" keeps only security-relevant events buffered, so campaign
     # runs don't pay for per-commit tracing (same policy as --stats-out).
     with observe(Observability(trace_level="squash")) as obs:
-        with _attempt_deadline(task.task_timeout), use_backend(task.backend):
+        with _attempt_deadline(task.task_timeout):
             faults.trigger(task.experiment_id, task.shard_index, attempt)
             exp = registry.get(task.experiment_id)
             if task.shard is None:
@@ -301,15 +296,8 @@ class CampaignRunner:
         retry_backoff_cap: float = 2.0,
         spans: bool = True,
         event_log: Optional[CampaignEventLog] = None,
-        backend: Optional[str] = None,
     ) -> None:
-        from ..cpu.backend import current_backend
-
         self.jobs = max(1, int(jobs)) if jobs else (os.cpu_count() or 1)
-        #: Execution backend workers select per task; defaults to the
-        #: ambient :func:`repro.cpu.backend.current_backend` so
-        #: ``use_backend(...)`` around runner construction also works.
-        self.backend = backend if backend is not None else current_backend()
         self.cache = cache
         self._progress = progress
         self.retries = max(0, int(retries))
@@ -528,7 +516,6 @@ class CampaignRunner:
                     backoff_cap=self.retry_backoff_cap,
                     faults=self.fault_plan,
                     record_spans=self.spans,
-                    backend=self.backend,
                 )
                 for shard in shards
             )

@@ -1,13 +1,5 @@
 """Out-of-order core: predictor, ROB/LSQ models, noise, trace-driven executor."""
 
-from .backend import (
-    BACKENDS,
-    current_backend,
-    make_core,
-    set_backend,
-    use_backend,
-)
-from .batched import BatchedCore
 from .core import DEFAULT_SQUASH_DELAY, NEVER, Core
 from .fu import FU_ALU, FU_DIV, FU_MUL, FuPool, OccupancyTimeline, fu_for_op
 from .lsq import InflightMemTracker, LsqStats
@@ -24,13 +16,7 @@ from .rob import RobModel, RobStats
 from .timing import InstructionTiming, RunResult, SquashEvent
 
 __all__ = [
-    "BACKENDS",
-    "BatchedCore",
     "Core",
-    "current_backend",
-    "make_core",
-    "set_backend",
-    "use_backend",
     "DEFAULT_SQUASH_DELAY",
     "NEVER",
     "BimodalPredictor",

@@ -132,10 +132,7 @@ class Core:
         #: — this core's committed beyond-L1 loads wait out another
         #: context's recorded intervals before being serviced. Both default
         #: to None (no-op; timing is bit-identical to a hook-free core) and
-        #: are assigned by the interference harness between runs. A core
-        #: carrying either is demoted to scalar by the batched backend:
-        #: the timelines couple *separate* runs, which memoized replay
-        #: cannot see.
+        #: are assigned by the interference harness between runs.
         self.port_timeline = None
         self.contended_timeline = None
         #: Divider occupancy of the most recent run (repro.cpu.fu.FuPool);
@@ -233,9 +230,7 @@ class Core:
         dispatch_width = cfg.dispatch_width
         squash_delay = self.squash_delay
         # Divider occupancy is per-run (the machine quiesces between runs,
-        # like the MSHR drain below) — which is also what keeps the batched
-        # backend's memoized round replay bit-identical with no extra
-        # signature state: replaying a round replays its divider schedule.
+        # like the MSHR drain below).
         fu_pool = FuPool()
         self.fu_pool = fu_pool
         acquire_div = fu_pool.acquire_div
@@ -783,8 +778,7 @@ class Core:
                         # (no port occupancy, no fill). Burn the jitter draw
                         # the other defense families make for this would-be
                         # memory access, so per-round RNG draw counts are
-                        # family-invariant and the BatchedCore draw-count
-                        # guard can't spuriously demote one family.
+                        # family-invariant.
                         if probed == "MEM":
                             noise_jitter(noise_rng)
                         spec_ready[dst] = NEVER

@@ -21,12 +21,9 @@ Two small timestamp-domain trackers back the non-cache covert channels:
 Both trackers live in plain cycle timestamps — the same one-pass timing
 domain as :class:`~repro.cpu.core.Core` — and are deliberately tiny: no
 cycle-stepping, no event queue. A :class:`FuPool` is created fresh per
-``Core.run`` call (per round), which makes the batched backend's
-memoized-replay bit-identical for free: replaying a round's timing replays
-the same intra-round divider occupancy, and no occupancy leaks across
+``Core.run`` call (per round), so no divider occupancy leaks across
 rounds. :class:`OccupancyTimeline` instances, by contrast, intentionally
-couple two *separate* runs (victim records, attacker replays), so cores
-carrying one are demoted to the scalar backend (see ``batched.py``).
+couple two *separate* runs (victim records, attacker replays).
 """
 
 from __future__ import annotations

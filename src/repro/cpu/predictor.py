@@ -46,9 +46,6 @@ class BimodalPredictor:
         self.initial = initial
         self._counters: Dict[int, int] = {}
         self.stats = PredictorStats()
-        #: Training-mutation counter (update/reset); ``predict`` only reads.
-        #: The batched backend uses it to detect out-of-band training.
-        self.version = 0
 
     def _slot(self, pc: int) -> int:
         return pc & (self.table_size - 1)
@@ -71,11 +68,9 @@ class BimodalPredictor:
             value = max(STRONG_NOT_TAKEN, value - 1)
         self._counters[slot] = value
         self.stats.updates += 1
-        self.version += 1
         if mispredicted:
             self.stats.mispredictions += 1
 
     def reset(self) -> None:
         self._counters.clear()
         self.stats = PredictorStats()
-        self.version += 1

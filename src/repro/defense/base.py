@@ -86,9 +86,9 @@ class DefenseCounters:
 class counter:
     """A public integer attribute of a defense, stored on its ``counters``.
 
-    Reads and writes (``defense.squash_count += 1``, the batched backend's
-    ``setattr`` of replayed deltas) go to :class:`DefenseCounters`, where a
-    gauge source can read them without holding the defense.
+    Reads and writes (``defense.squash_count += 1``) go to
+    :class:`DefenseCounters`, where a gauge source can read them without
+    holding the defense.
     """
 
     __slots__ = ("name",)
@@ -126,19 +126,6 @@ class Defense(abc.ABC):
     #: context reports the window's shadow-fill counts. Only meaningful
     #: together with ``allows_speculative_install = False``.
     shadow_speculative_fills: bool = False
-
-    #: The batched backend may memoize and replay rounds only when the
-    #: defense's squash handling is a pure deterministic function of the
-    #: hierarchy state (no internal RNG, no wall clock). Defaults to False:
-    #: an unknown defense forces the always-correct scalar path; the
-    #: deterministic in-tree defenses opt in explicitly.
-    batch_replay_safe: bool = False
-
-    #: Integer attributes the batched backend snapshots before/after a
-    #: recorded round and re-applies (as deltas) on replay. Subclasses with
-    #: their own counters extend this tuple; wrapped inner defenses are
-    #: walked via their ``inner`` attribute.
-    replay_counter_attrs: "tuple" = ("squash_count", "total_stall")
 
     squash_count = counter()
     total_stall = counter()
@@ -220,9 +207,6 @@ class DefenseCapabilities:
     #: Scheme family: "none", "undo" (rollback), "invisible" (delay),
     #: "shadow" (shadow structures), "cancel" (cancellable requests).
     family: str
-    #: True when the batched backend may memoize/replay rounds under this
-    #: defense (mirrors :attr:`Defense.batch_replay_safe`).
-    replay_safe: bool
     #: Channel keys (see :mod:`repro.attack.channel`) the scheme claims to
     #: close, e.g. ("flush",) for undo schemes, ("flush", "rollback") for
     #: shadow-structure schemes.

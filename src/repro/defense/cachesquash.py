@@ -6,7 +6,7 @@ memory requests; when the wrong path is squashed, requests still in flight
 are squashed with it — cancellation messages chase the fills down the
 hierarchy — and completed speculative fills are dropped before they become
 visible. Crucially, the squash-visible cost is *coalesced*: cancellations
-are batched, so the post-squash delay is quantized into buckets of
+travel in groups, so the post-squash delay is quantized into buckets of
 ``coalesce_width`` requests rather than scaling per-request, hiding the
 footprint size the unXpec receiver would otherwise read off the stall.
 
@@ -51,11 +51,6 @@ class CacheSquash(Defense):
 
     allows_speculative_install = False
     shadow_speculative_fills = True
-    batch_replay_safe = True
-    replay_counter_attrs = Defense.replay_counter_attrs + (
-        "total_cancelled",
-        "total_cancel_stall",
-    )
 
     total_cancelled = counter()
     total_cancel_stall = counter()
@@ -125,7 +120,6 @@ register_defense(
     lambda hierarchy: CacheSquash(hierarchy),
     DefenseCapabilities(
         family="cancel",
-        replay_safe=True,
         closes_channels=("flush", "rollback"),
         shadowed_structures=("MSHR",),
     ),

@@ -35,13 +35,6 @@ from .cleanup_timing import CleanupMode, CleanupTimingModel
 class CleanupSpec(Defense):
     """Undo defense with invalidation + restoration rollback."""
 
-    batch_replay_safe = True
-    replay_counter_attrs = Defense.replay_counter_attrs + (
-        "total_invalidations_l1",
-        "total_invalidations_l2",
-        "total_restorations",
-    )
-
     total_invalidations_l1 = counter()
     total_invalidations_l2 = counter()
     total_restorations = counter()
@@ -153,5 +146,5 @@ register_defense(
     lambda hierarchy: CleanupSpec(hierarchy),
     # The undo family closes the footprint (flush) channel; the rollback
     # duration itself stays secret-dependent — exactly the unXpec channel.
-    DefenseCapabilities(family="undo", replay_safe=True, closes_channels=("flush",)),
+    DefenseCapabilities(family="undo", closes_channels=("flush",)),
 )

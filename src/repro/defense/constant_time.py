@@ -32,8 +32,6 @@ from .cleanupspec import CleanupSpec
 class ConstantTimeRollback(Defense):
     """Relaxed constant-time rollback around CleanupSpec."""
 
-    batch_replay_safe = True
-
     def __init__(
         self,
         hierarchy: CacheHierarchy,
@@ -85,5 +83,5 @@ register_defense(
     lambda hierarchy: ConstantTimeRollback(hierarchy, constant_cycles=40),
     # Relaxed padding hides the common-case rollback difference but runs
     # long for large footprints, so only the flush channel is *claimed*.
-    DefenseCapabilities(family="undo", replay_safe=True, closes_channels=("flush",)),
+    DefenseCapabilities(family="undo", closes_channels=("flush",)),
 )

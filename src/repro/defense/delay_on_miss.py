@@ -42,7 +42,6 @@ class DelayOnMiss(Defense):
     name = "DelayOnMiss"
     allows_speculative_install = False
     delay_speculative_misses = True
-    batch_replay_safe = True
 
     def handle_squash(self, ctx: SquashContext) -> SquashOutcome:
         # Nothing was installed speculatively, so there is nothing to undo;
@@ -60,7 +59,5 @@ class DelayOnMiss(Defense):
 register_defense(
     "delay_on_miss",
     lambda hierarchy: DelayOnMiss(hierarchy),
-    DefenseCapabilities(
-        family="invisible", replay_safe=True, closes_channels=("flush", "rollback")
-    ),
+    DefenseCapabilities(family="invisible", closes_channels=("flush", "rollback")),
 )

@@ -84,7 +84,6 @@ class FuzzyCleanup(Defense):
 register_defense(
     "fuzzy",
     lambda hierarchy: FuzzyCleanup(hierarchy, max_dummy_cycles=32),
-    # The per-squash RNG draw makes rounds non-replayable (the batched
-    # backend falls back to scalar) and only *blurs* the rollback channel.
-    DefenseCapabilities(family="undo", replay_safe=False, closes_channels=("flush",)),
+    # The per-squash RNG draw only *blurs* the rollback channel.
+    DefenseCapabilities(family="undo", closes_channels=("flush",)),
 )

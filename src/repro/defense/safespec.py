@@ -46,11 +46,6 @@ class SafeSpec(Defense):
     name = "SafeSpec"
     allows_speculative_install = False
     shadow_speculative_fills = True
-    batch_replay_safe = True
-    replay_counter_attrs = Defense.replay_counter_attrs + (
-        "total_shadow_fills",
-        "total_shadow_discards",
-    )
 
     total_shadow_fills = counter()
     total_shadow_discards = counter()
@@ -101,7 +96,6 @@ register_defense(
     lambda hierarchy: SafeSpec(hierarchy),
     DefenseCapabilities(
         family="shadow",
-        replay_safe=True,
         closes_channels=("flush", "rollback"),
         shadowed_structures=("L1", "MSHR"),
     ),

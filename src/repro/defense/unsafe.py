@@ -21,7 +21,6 @@ class UnsafeBaseline(Defense):
     """No protection: squashes cost nothing beyond the pipeline penalty."""
 
     name = "UnsafeBaseline"
-    batch_replay_safe = True
 
     def handle_squash(self, ctx: SquashContext) -> SquashOutcome:
         # The transient lines become permanent; clear their speculative
@@ -37,5 +36,5 @@ class UnsafeBaseline(Defense):
 register_defense(
     "unsafe",
     lambda hierarchy: UnsafeBaseline(hierarchy),
-    DefenseCapabilities(family="none", replay_safe=True),
+    DefenseCapabilities(family="none"),
 )

@@ -37,38 +37,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
-from typing import Callable, List, Optional
+from typing import List, Optional
 
+from ..common.argtypes import non_negative_int, positive_int, positive_seconds
 from . import registry
 
 #: Default cache location (overridable with --cache-dir / REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = ".campaign-cache"
-
-
-def _checked(convert: Callable, accept: Callable, what: str) -> Callable:
-    """An argparse ``type``: ``convert`` the text, reject what ``accept`` refuses."""
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not accept(value):
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
-        return value
-
-    return parse
-
-
-_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
-_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
-_positive_seconds = _checked(
-    float, lambda v: math.isfinite(v) and v > 0, "a positive number of seconds"
-)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -94,11 +72,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quick", action="store_true", help="fewer samples, faster run"
     )
     parser.add_argument(
-        "--seed", type=_non_negative_int, default=0, help="master seed (>= 0)"
+        "--seed", type=non_negative_int, default=0, help="master seed (>= 0)"
     )
     parser.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="worker processes for shard execution (default: all cores); "
@@ -120,7 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--retries",
-        type=_non_negative_int,
+        type=non_negative_int,
         default=1,
         metavar="N",
         help="retry a task up to N times on transient faults (OSError, "
@@ -129,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--task-timeout",
-        type=_positive_seconds,
+        type=positive_seconds,
         default=None,
         metavar="SECONDS",
         help="per-attempt wall-clock budget for one shard/run task; an "
@@ -161,15 +139,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="stream campaign lifecycle events (task.submit/start/retry/"
         "cache_hit/done/failed) as JSONL; tail it live with "
         "python -m repro.tools.campaign_top PATH --follow",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("scalar", "batched"),
-        default=os.environ.get("REPRO_BACKEND", "scalar"),
-        help="execution backend for attack cores: 'scalar' is the reference "
-        "one-round-at-a-time model, 'batched' memoizes and replays repeated "
-        "rounds (bit-identical results, same cache keys and digests; "
-        "default: %(default)s, or $REPRO_BACKEND)",
     )
     parser.add_argument(
         "--no-spans",
@@ -204,7 +173,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         task_timeout=args.task_timeout,
         spans=not args.no_spans,
         event_log=event_log,
-        backend=args.backend,
     )
     profiler = Profiler()
 

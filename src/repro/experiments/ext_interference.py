@@ -25,10 +25,6 @@ The merged table shows:
 * the victim's own squash stall stays secret-independent wherever the
   defense claims the rollback channel closed — the leak rides entirely
   on the second context's observation.
-
-The harness couples two runs through a shared timeline, which memoized
-replay cannot see, so it constructs scalar cores directly; shards are
-backend-invariant by construction (docs/channels.md).
 """
 
 from __future__ import annotations

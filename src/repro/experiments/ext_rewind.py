@@ -25,13 +25,6 @@ table shows the paper-shaped story:
 * the squash stall itself stays secret-independent wherever the defense
   claims the rollback channel closed (the gadget transmits *only*
   through the divider).
-
-Shards run under whatever backend the campaign selected: the round loop
-is memoization-friendly, so this experiment is the batched backend's
-coverage of the FU-occupancy model. Only replay-stable observables
-(latencies, stalls) are reported — FU diagnostic counters live on the
-scalar core and are excluded to keep output byte-identical across
-backends.
 """
 
 from __future__ import annotations
@@ -85,9 +78,6 @@ class ExtRewind(ShardableExperiment):
         rows = []
         for bit in (0, 1):
             for sample in attack.sample_many(bit, rounds):
-                # Replay-stable observables only: latency and stall are
-                # architecturally visible and identical across backends;
-                # the scalar core's FU diagnostic counters are not.
                 rows.append([sample.secret, sample.latency, sample.stall])
         return {"defense": defense_key, "rows": rows}
 

@@ -20,9 +20,9 @@ story reduces to one table:
 * every defense's *measured* row must be consistent with its registered
   :class:`~repro.defense.base.DefenseCapabilities` claim.
 
-Run as ``python -m repro.experiments matrix [--jobs N] [--backend batched]``;
-tables, metrics, and checks are bit-identical for any jobs count and
-backend (the campaign determinism contract, docs/campaign.md).
+Run as ``python -m repro.experiments matrix [--jobs N]``; tables,
+metrics, and checks are bit-identical for any jobs count (the campaign
+determinism contract, docs/campaign.md).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..cache.hierarchy import CacheHierarchy
-from ..cpu.backend import make_core
+from ..cpu.core import Core
 from ..defense.base import defense_capabilities, defense_keys, make_defense
 from ..matrix import (
     evaluate_cell,
@@ -113,7 +113,7 @@ class MatrixGrid(ShardableExperiment):
 
         def cycles(workload, key: str) -> int:
             hierarchy = CacheHierarchy(seed=seed + 1)
-            core = make_core(
+            core = Core(
                 hierarchy, make_defense(key, hierarchy), config=hierarchy.config.core
             )
             return core.run(workload.program, max_instructions=20_000_000).cycles

@@ -18,8 +18,8 @@ exactly where the machine model says they must (fenced bodies leak a
 residual delta the static window misses; transient stores/flushes are
 flagged but perform nothing speculatively).
 
-Run as ``python -m repro.experiments synth [--jobs N] [--backend batched]``;
-output is bit-identical for any jobs count and backend.
+Run as ``python -m repro.experiments synth [--jobs N]``; output is
+bit-identical for any jobs count.
 """
 
 from __future__ import annotations

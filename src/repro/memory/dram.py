@@ -49,10 +49,6 @@ class Dram:
         #: escaping as host-level MemoryError_.
         self.addr_mask = self.size_bytes - 1
         self._words: dict = {}
-        #: Optional write journal: when a list is attached (the batched
-        #: backend's replay engine does this), every functional write appends
-        #: ``(word_addr, value)``. Reads never journal.
-        self.journal: list = None  # type: ignore[assignment]
 
     def _check(self, addr: int) -> None:
         if not 0 <= addr < self.size_bytes:
@@ -71,8 +67,6 @@ class Dram:
         word = addr // WORD_SIZE * WORD_SIZE
         value &= (1 << 64) - 1
         self._words[word] = value
-        if self.journal is not None:
-            self.journal.append((word, value))
 
     def writeback_line(self, line_addr: int) -> None:
         """Account a dirty-line writeback (data already written via write_word)."""
@@ -121,5 +115,3 @@ class Dram:
         word = addr // WORD_SIZE * WORD_SIZE
         value &= (1 << 64) - 1
         self._words[word] = value
-        if self.journal is not None:
-            self.journal.append((word, value))

@@ -83,9 +83,6 @@ class MshrFile:
         #: stale-low after deletions; only used to skip retire scans).
         self._min_complete = self._NO_ENTRIES
         self.stats = MshrStats()
-        #: Mutation counter (allocate/merge/retire/clean/clear): the batched
-        #: backend reads it to detect out-of-band MSHR changes between rounds.
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -142,7 +139,6 @@ class MshrFile:
             existing.merged += 1
             existing.speculative = existing.speculative and speculative
             self.stats.merges += 1
-            self.version += 1
             return existing
         if len(self._entries) >= self.capacity:
             self.stats.stall_events += 1
@@ -159,7 +155,6 @@ class MshrFile:
         if complete_cycle < self._min_complete:
             self._min_complete = complete_cycle
         self.stats.allocations += 1
-        self.version += 1
         return entry
 
     #: Shared fast-path return value for "nothing retired" (never mutated by
@@ -171,8 +166,6 @@ class MshrFile:
         if cycle < self._min_complete:
             return self._NOTHING  # nothing can have completed yet — skip the scan
         done = [e for e in self._entries.values() if e.complete_cycle <= cycle]
-        if done:
-            self.version += 1
         for entry in done:
             del self._entries[entry.line_addr]
         if self._entries:
@@ -192,15 +185,12 @@ class MshrFile:
     def clean_speculative(self, cycle: int) -> List[MshrEntry]:
         """Drop speculative in-flight entries (CleanupSpec's T3) and return them."""
         victims = self.inflight_speculative(cycle)
-        if victims:
-            self.version += 1
         for entry in victims:
             del self._entries[entry.line_addr]
         self.stats.cleaned_inflight += len(victims)
         return victims
 
     def clear(self) -> None:
-        self.version += 1
         self._entries.clear()
         self._min_complete = self._NO_ENTRIES
 

@@ -73,21 +73,12 @@ class Counter(Stat):
 
     kind = "counter"
 
-    #: Class-level journal hook: when a list is attached (the batched
-    #: backend's record phase), every increment appends ``(stat, n)`` so the
-    #: round's counter deltas can be replayed exactly, whichever registry the
-    #: counter lives in.
-    _journal: Optional[list] = None
-
     def __init__(self, name: str, desc: str = "") -> None:
         super().__init__(name, desc)
         self._count = 0
 
     def inc(self, n: int = 1) -> None:
         self._count += n
-        j = Counter._journal
-        if j is not None:
-            j.append((self, n))
 
     def value(self) -> int:
         return self._count
@@ -148,11 +139,6 @@ class Distribution(Stat):
     #: Default reservoir size; squash stalls and latencies fit easily.
     DEFAULT_RESERVOIR = 4096
 
-    #: Class-level journal hook (see :attr:`Counter._journal`): replaying the
-    #: exact ``add`` sequence keeps the deterministic percentile reservoir
-    #: bit-identical, which moment deltas alone could not.
-    _journal: Optional[list] = None
-
     def __init__(self, name: str, desc: str = "", reservoir: int = DEFAULT_RESERVOIR) -> None:
         super().__init__(name, desc)
         if reservoir < 1:
@@ -170,9 +156,6 @@ class Distribution(Stat):
         self._sorted: Optional[List[float]] = None
 
     def add(self, value: Number) -> None:
-        j = Distribution._journal
-        if j is not None:
-            j.append((self, value))
         v = float(value)
         self._count += 1
         self._sum += v

@@ -1,1 +1,1 @@
-"""Cross-backend differential-testing harness (scalar vs. batched)."""
+"""Per-round golden harness: run a workload case and diff every round."""

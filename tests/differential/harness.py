@@ -1,4 +1,4 @@
-"""Replay one workload under both execution backends and diff every round.
+"""Run one workload on the core, record every round, and diff the records.
 
 A *case* is a small JSON-serializable dict describing a deterministic
 multi-round workload. Two modes:
@@ -10,29 +10,34 @@ multi-round workload. Two modes:
   per-round out-of-band DRAM pokes (what the Hypothesis property
   generates).
 
-:func:`run_case` executes a case under one backend and captures a *round
-record* per round: latency/cycles/instructions, final registers, the
-squash trace, the squash-level event-trace tail, the registry snapshot,
-and full machine + stats fingerprints (see :mod:`repro.cpu.batched`).
-:func:`first_divergence` diffs two record lists down to the first
-(round, field) mismatch, and :func:`divergence_report` shrinks a mismatch
-to that single round, re-running the scalar side with a per-instruction
-timeline and showing the batched side's execution mode and event log —
-the artifact CI uploads when a differential test fails.
+:func:`run_case` executes a case and captures a *round record* per
+round: latency/cycles/instructions, final registers, the squash trace, the
+squash-level event-trace tail, the registry snapshot, and full machine +
+stats fingerprints (:func:`machine_fingerprint`, :func:`stats_fingerprint`).
+:func:`golden_rows` condenses records into the form checked into each
+corpus case's ``expected`` list: the three counts as integers, every other
+field as the sha256 of its ``repr``. :func:`first_divergence` diffs two
+record lists (full or condensed) down to the first (round, field)
+mismatch, and :func:`divergence_report` shrinks a mismatch to that single
+round, re-running it with a per-instruction timeline — the artifact CI
+uploads when a differential test fails.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import astuple
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.attack import GadgetParams, UnxpecAttack
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.setassoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, CoreConfig, SystemConfig
-from repro.cpu.backend import use_backend
-from repro.cpu.batched import machine_fingerprint, stats_fingerprint
+from repro.cpu.core import Core
 from repro.cpu.noise import campaign_noise
+from repro.defense.base import Defense
 from repro.defense.cachesquash import CacheSquash
 from repro.defense.cleanupspec import CleanupSpec
 from repro.defense.constant_time import ConstantTimeRollback
@@ -58,6 +63,9 @@ ROUND_FIELDS = (
     "machine",
     "stats",
 )
+
+#: Fields a golden row stores verbatim; the rest are stored as digests.
+COUNT_FIELDS = ("latency", "cycles", "instructions")
 
 _DEFENSES = {
     "cleanup": lambda h: CleanupSpec(h),
@@ -98,6 +106,117 @@ def build_program(specs) -> object:
     return b.build()
 
 
+def snapshot_set(ways) -> tuple:
+    """Immutable per-way snapshot of one set's lines (``None`` when empty)."""
+    return tuple(
+        None
+        if line is None
+        else (
+            line.line_addr,
+            line.state,
+            line.dirty,
+            line.speculative,
+            line.epoch,
+            line.installed_at,
+            line.last_access,
+        )
+        for line in ways
+    )
+
+
+def _rng_state_key(rng) -> tuple:
+    """Hashable canonical form of a numpy Generator's state."""
+    state = rng.bit_generator.state
+    inner = state["state"]
+    return (
+        state["bit_generator"],
+        tuple(sorted(inner.items())) if isinstance(inner, dict) else inner,
+        state.get("has_uint32", 0),
+        state.get("uinteger", 0),
+    )
+
+
+def _rng_policies(hierarchy: CacheHierarchy) -> tuple:
+    """Replacement policies that hold an RNG (walking NoMo wrappers)."""
+    out = []
+    for cache in (hierarchy.l1, hierarchy.l2):
+        policy = cache.policy
+        inner = getattr(policy, "inner", None)
+        if inner is not None and hasattr(inner, "_rng"):
+            policy = inner
+        if hasattr(policy, "_rng"):
+            out.append(policy)
+    return tuple(out)
+
+
+def _defense_chain(defense) -> tuple:
+    """The defense plus wrapped inner defenses (ConstantTime -> Cleanup)."""
+    chain = []
+    node = defense
+    while isinstance(node, Defense) and node not in chain:
+        chain.append(node)
+        node = getattr(node, "inner", None)
+    return tuple(chain)
+
+
+def machine_fingerprint(core: Core) -> tuple:
+    """Full comparable snapshot of a core's machine state.
+
+    Two machines that differ in any cache line, MSHR entry, predictor
+    counter, replacement-RNG state, DRAM word or open speculation epoch
+    produce different fingerprints.
+    """
+    h = core.hierarchy
+
+    def cache_state(cache: SetAssociativeCache) -> tuple:
+        out = []
+        for set_index, ways in enumerate(cache._sets):
+            if ways is not None and any(ways):
+                out.append((set_index, snapshot_set(ways)))
+        return tuple(out)
+
+    mshr_state = tuple(
+        sorted(
+            (
+                e.line_addr,
+                e.issue_cycle,
+                e.complete_cycle,
+                e.speculative,
+                -1 if e.victim_line is None else e.victim_line,
+                e.victim_dirty,
+                e.merged,
+            )
+            for e in h.mshr._entries.values()
+        )
+    )
+    return (
+        cache_state(h.l1),
+        cache_state(h.l2),
+        mshr_state,
+        tuple(sorted(core.predictor._counters.items())),
+        tuple(_rng_state_key(p._rng) for p in _rng_policies(h)),
+        tuple(sorted(h.dram._words.items())),
+        h.tracker._next_epoch,
+        tuple(h.tracker.open_epochs()),
+        len(h.l1_guard._pending),
+    )
+
+
+def stats_fingerprint(core: Core) -> Tuple[tuple, ...]:
+    """Comparable snapshot of every stats bag a round can mutate.
+
+    The cache, DRAM, MSHR and predictor stats dataclasses, then the
+    :class:`~repro.defense.base.DefenseCounters` of the defense and of any
+    defense it wraps.
+    """
+    h = core.hierarchy
+    bags = (h.l1.stats, h.l2.stats, h.dram.stats, h.mshr.stats, core.predictor.stats)
+    out = [astuple(bag) for bag in bags]
+    for defense in _defense_chain(core.defense):
+        out.append(tuple(sorted(vars(defense.counters).items())))
+    return tuple(out)
+
+
 def _squash_key(event) -> tuple:
     outcome = event.outcome
     return (
@@ -136,8 +255,22 @@ def _round_record(core, obs, result, latency, emitted_before) -> dict:
         "registry": json.dumps(obs.registry.to_dict(), sort_keys=True, default=str),
         "machine": machine_fingerprint(core),
         "stats": stats_fingerprint(core),
-        "mode": dict(getattr(core, "last_round_info", ())) or {"mode": "scalar"},
     }
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def golden_rows(rows: Sequence[dict]) -> List[dict]:
+    """Condense round records to the corpus ``expected`` form."""
+    return [
+        {
+            name: row[name] if name in COUNT_FIELDS else _digest(row[name])
+            for name in ROUND_FIELDS
+        }
+        for row in rows
+    ]
 
 
 def _system_config(config: Optional[dict]) -> SystemConfig:
@@ -157,23 +290,21 @@ def _system_config(config: Optional[dict]) -> SystemConfig:
     )
 
 
-def run_case(case: dict, backend: str, stop_after: Optional[int] = None,
+def run_case(case: dict, stop_after: Optional[int] = None,
              timeline_round: Optional[int] = None) -> List[dict]:
-    """Execute ``case`` under ``backend``; one record per round.
+    """Execute ``case``; one record per round.
 
     ``timeline_round`` additionally records a per-instruction timeline for
-    that round (stored under ``"timeline"``); on the batched backend this
-    forces the round down the scalar path, so it is only used by the
-    divergence report, never while comparing.
+    that round (stored under ``"timeline"``); only the divergence report
+    asks for it.
     """
     obs = Observability(trace_level="squash")
     previous = set_default_obs(obs)
     try:
-        with use_backend(backend):
-            if case.get("mode", "attack") == "attack":
-                rows = _run_attack_case(case, obs, stop_after, timeline_round)
-            else:
-                rows = _run_program_case(case, obs, stop_after, timeline_round)
+        if case.get("mode", "attack") == "attack":
+            rows = _run_attack_case(case, obs, stop_after, timeline_round)
+        else:
+            rows = _run_program_case(case, obs, stop_after, timeline_round)
     finally:
         set_default_obs(previous)
     return rows
@@ -223,14 +354,12 @@ def _run_attack_case(case, obs, stop_after, timeline_round) -> List[dict]:
 
 
 def _run_program_case(case, obs, stop_after, timeline_round) -> List[dict]:
-    from repro.cpu.backend import make_core
-
     program = build_program(case["program"])
     hierarchy = CacheHierarchy(
         config=_system_config(case.get("config")), seed=case.get("seed", 0)
     )
     defense = _DEFENSES[case.get("defense", "cleanup")](hierarchy)
-    core = make_core(hierarchy, defense, config=hierarchy.config.core)
+    core = Core(hierarchy, defense, config=hierarchy.config.core)
     pokes = case.get("pokes", ())
     rows: List[dict] = []
     for index in range(case.get("rounds", 4)):
@@ -247,21 +376,23 @@ def _run_program_case(case, obs, stop_after, timeline_round) -> List[dict]:
     return rows
 
 
-def first_divergence(scalar_rows, batched_rows) -> Optional[Tuple[int, str]]:
-    """First (round, field) where the two backends disagree, else None."""
-    for index, (a, b) in enumerate(zip(scalar_rows, batched_rows)):
+def first_divergence(expected_rows, actual_rows) -> Optional[Tuple[int, str]]:
+    """First (round, field) where two record lists disagree, else None."""
+    for index, (a, b) in enumerate(zip(expected_rows, actual_rows)):
         for name in ROUND_FIELDS:
             if a[name] != b[name]:
                 return index, name
-    if len(scalar_rows) != len(batched_rows):
-        return min(len(scalar_rows), len(batched_rows)), "rounds"
+    if len(expected_rows) != len(actual_rows):
+        return min(len(expected_rows), len(actual_rows)), "rounds"
     return None
 
 
-def divergence_report(case: dict, scalar_rows, batched_rows) -> str:
-    """Shrink a mismatch to its first divergent round, with both backends'
-    per-instruction event logs for exactly that round."""
-    where = first_divergence(scalar_rows, batched_rows)
+def divergence_report(case: dict, expected_rows, actual_rows,
+                      labels: Tuple[str, str] = ("expected", "actual")) -> str:
+    """Shrink a mismatch to its first divergent round, with each side's
+    fields and squash-level events and a per-instruction timeline of
+    exactly that round."""
+    where = first_divergence(expected_rows, actual_rows)
     if where is None:
         return "no divergence"
     index, field = where
@@ -270,26 +401,25 @@ def divergence_report(case: dict, scalar_rows, batched_rows) -> str:
         f"round {index}, field {field!r}",
         "",
     ]
-    a = scalar_rows[index] if index < len(scalar_rows) else None
-    b = batched_rows[index] if index < len(batched_rows) else None
-    for label, row in (("scalar", a), ("batched", b)):
+    a = expected_rows[index] if index < len(expected_rows) else None
+    b = actual_rows[index] if index < len(actual_rows) else None
+    for label, row in zip(labels, (a, b)):
         if row is None:
             lines.append(f"--- {label}: no round {index} (ended early)")
             continue
-        lines.append(f"--- {label} round {index} "
-                     f"(mode={row['mode'].get('mode', 'scalar')}):")
+        lines.append(f"--- {label} round {index}:")
         for name in ROUND_FIELDS:
             marker = "  *" if a is not None and b is not None and a[name] != b[name] else "   "
             lines.append(f"{marker} {name} = {_short(row[name])}")
-        lines.append("    squash-level events:")
-        for cycle, kind, data in row["trace"]:
-            lines.append(f"      [{cycle}] {kind} {data}")
-    # Per-instruction timeline of the divergent round, re-executed on the
-    # always-correct scalar backend (the reference semantics).
-    reference = run_case(case, "scalar", stop_after=index, timeline_round=index)
+    # Re-run up to the divergent round with a per-instruction timeline; its
+    # squash-level events stand in for a side stored only as digests.
+    reference = run_case(case, stop_after=index, timeline_round=index)
     if reference and "timeline" in reference[-1]:
         lines.append("")
-        lines.append(f"--- scalar per-instruction timeline, round {index}:")
+        lines.append(f"--- re-run round {index}, squash-level events:")
+        for cycle, kind, data in reference[-1]["trace"]:
+            lines.append(f"    [{cycle}] {kind} {data}")
+        lines.append(f"--- re-run round {index}, per-instruction timeline:")
         for entry in reference[-1]["timeline"]:
             lines.append(f"    {entry}")
     return "\n".join(lines)
@@ -300,13 +430,12 @@ def _short(value, limit: int = 400) -> str:
     return text if len(text) <= limit else text[: limit - 12] + f"...(+{len(text) - limit})"
 
 
-def compare_case(case: dict, rounds: Optional[int] = None) -> Optional[str]:
-    """Run ``case`` under both backends; a divergence report, or None."""
-    scalar_rows = run_case(case, "scalar", stop_after=rounds)
-    batched_rows = run_case(case, "batched", stop_after=rounds)
-    if first_divergence(scalar_rows, batched_rows) is None:
+def check_case(case: dict) -> Optional[str]:
+    """Run ``case`` against its ``expected`` goldens; a divergence report, or None."""
+    actual = golden_rows(run_case(case))
+    if first_divergence(case["expected"], actual) is None:
         return None
-    return divergence_report(case, scalar_rows, batched_rows)
+    return divergence_report(case, case["expected"], actual)
 
 
 def load_corpus() -> List[dict]:
@@ -318,3 +447,22 @@ def load_corpus() -> List[dict]:
         case.setdefault("name", path.stem)
         cases.append(case)
     return cases
+
+
+def rewrite_expected(path: Path) -> None:
+    """Capture ``path``'s ``expected`` goldens from the current core.
+
+    Only for a deliberate timing-model change (the golden-values rule:
+    record the cause). The case's other keys are kept as written;
+    ``expected`` is (re)written as the last key, one round per line.
+    """
+    text = path.read_text()
+    case = json.loads(text)
+    case.pop("expected", None)
+    if '"expected"' in text:
+        head = text[: text.index('"expected"')].rstrip().rstrip(",")
+    else:
+        head = text.rstrip()[:-1].rstrip()
+    rows = golden_rows(run_case(case))
+    body = ",\n".join(f"    {json.dumps(row)}" for row in rows)
+    path.write_text(f'{head},\n  "expected": [\n{body}\n  ]\n}}\n')

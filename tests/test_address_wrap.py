@@ -5,9 +5,9 @@ A Hypothesis run found ``opi sub r2, r1, 1; load r1, r2, 0`` with
 0xffffffffffffffc0`` — a computed negative effective address reached
 DRAM unmasked.  The machine now wraps every effective address to the
 DRAM address space (``Dram.size_bytes``, a power of two) at the
-core/hierarchy boundary — committed and wrong paths, identical on both
-backends — and the specct static analyzer and dynamic interpreter fold
-constants through the same mask.  ``MemoryError_`` remains for
+core/hierarchy boundary — committed and wrong paths — and the specct
+static analyzer and dynamic interpreter fold constants through the same
+mask.  ``MemoryError_`` remains for
 host-level misuse (``poke``/``peek`` of an address that cannot exist).
 """
 
@@ -25,7 +25,12 @@ from repro.cpu import Core
 from repro.defense.cleanupspec import CleanupSpec
 from repro.isa import ProgramBuilder
 from repro.memory.dram import Dram
-from tests.differential.harness import compare_case, load_corpus
+from tests.differential.harness import (
+    divergence_report,
+    first_divergence,
+    load_corpus,
+    run_case,
+)
 
 #: The shrunk falsifying example, verbatim: r1 starts at 0, so the load's
 #: effective address is -64 (r2 = -1, line-aligned) before masking.
@@ -51,9 +56,14 @@ PINNED_CASE = {
 
 
 class TestCoreWrap:
-    def test_pinned_falsifying_example_runs_on_both_backends(self):
-        report = compare_case(PINNED_CASE)
-        assert report is None, f"pinned wild-addr case diverged:\n{report}"
+    def test_pinned_falsifying_example_runs_reproducibly(self):
+        first = run_case(PINNED_CASE)
+        again = run_case(PINNED_CASE)
+        assert len(first) == PINNED_CASE["rounds"]
+        assert first_divergence(first, again) is None, (
+            "pinned wild-addr case diverged:\n"
+            + divergence_report(PINNED_CASE, first, again, labels=("first", "again"))
+        )
 
     def test_wild_addr_corpus_case_is_checked_in(self):
         names = {case["name"] for case in load_corpus()}

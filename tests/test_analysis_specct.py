@@ -259,6 +259,25 @@ class TestCli:
             specct_main([])  # argparse usage error
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--window", "0"],
+            ["--window", "-5"],
+            ["--explore", "--max-paths", "0"],
+            ["--explore", "--max-paths", "-3"],
+            ["--explore", "--max-steps", "0"],
+            ["--explore", "--max-steps", "-1"],
+        ],
+    )
+    def test_non_positive_budget_is_usage_error(self, flags, capsys):
+        # Exit 1 means "findings reported"; a bad budget must not look like one.
+        with pytest.raises(SystemExit) as exc:
+            specct_main(["gadget:round", *flags])
+        assert exc.value.code == 2
+        option = next(f for f in flags if f != "--explore")
+        assert f"argument {option}: expected a positive integer" in capsys.readouterr().err
+
     def test_asm_file_target(self, tmp_path, capsys):
         source = """
         start:

@@ -5,7 +5,7 @@ The synthesis loop's contract: generation is a pure function of
 simulator confirmation, witness replay) agree on the hand-tuned default
 skeleton, minimization only shrinks, and the registered ``synth``
 experiment discovers >= 3 distinct confirmed gadgets with byte-identical
-output at any worker count and backend.
+output at any worker count.
 """
 
 import pytest

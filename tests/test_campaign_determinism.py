@@ -223,48 +223,3 @@ class TestCacheBehavior:
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0
-
-
-class TestBackendInvariance:
-    """The batched backend is invisible in campaign output: same result
-    digests as scalar at any jobs count, and cache entries written under
-    one backend are served under the other (backend-agnostic keys)."""
-
-    @pytest.fixture(scope="class")
-    def batched_jobs1(self):
-        runner = CampaignRunner(jobs=1, backend="batched")
-        runner.run(ids=REPRESENTATIVE, quick=True, seed=0)
-        return runner.last_outcomes
-
-    @pytest.fixture(scope="class")
-    def batched_jobs4(self):
-        runner = CampaignRunner(jobs=4, backend="batched")
-        runner.run(ids=REPRESENTATIVE, quick=True, seed=0)
-        return runner.last_outcomes
-
-    def test_results_match_scalar_at_jobs1(self, jobs1_outcomes, batched_jobs1):
-        assert results_json(jobs1_outcomes) == results_json(batched_jobs1)
-
-    def test_stats_match_scalar_at_jobs1(self, jobs1_outcomes, batched_jobs1):
-        assert stats_json(jobs1_outcomes) == stats_json(batched_jobs1)
-
-    def test_results_match_scalar_at_jobs4(self, jobs1_outcomes, batched_jobs4):
-        assert results_json(jobs1_outcomes) == results_json(batched_jobs4)
-
-    def test_stats_match_scalar_at_jobs4(self, jobs1_outcomes, batched_jobs4):
-        assert stats_json(jobs1_outcomes) == stats_json(batched_jobs4)
-
-    def test_cache_keys_are_backend_agnostic(self, tmp_path):
-        """An entry written by a scalar run is a hit for a batched run and
-        serves byte-identical results (the contract that lets a cache be
-        shared across backend configurations)."""
-        cache = ResultCache(str(tmp_path / "cache"))
-        scalar = CampaignRunner(jobs=1, cache=cache, backend="scalar")
-        cold = scalar.run(ids=["fig9"], quick=True, seed=0)
-        assert cache.misses == 1
-
-        batched = CampaignRunner(jobs=1, cache=cache, backend="batched")
-        warm = batched.run(ids=["fig9"], quick=True, seed=0)
-        assert cache.hits == 1
-        assert warm[0].cached
-        assert results_json(cold) == results_json(warm)

@@ -184,8 +184,7 @@ class TestWrongPathDrawParity:
     The delay-on-miss wrong path never issues a MEM miss downstream, but
     it must still consume the jitter draw the install/shadow families
     make for that access — otherwise the shared noise stream desyncs
-    across families and per-family results stop being comparable (and
-    the batched backend's draw-count guard would demote one family).
+    across families and per-family results stop being comparable.
     """
 
     FAMILIES = ("unsafe", "cleanupspec", "delay_on_miss", "safespec", "cachesquash")
@@ -245,23 +244,6 @@ class TestRewindChannel:
         )
         attack.prepare()
         assert attack.sample(0).latency == attack.sample(1).latency
-
-    def test_scalar_and_batched_agree(self):
-        from repro.cpu.backend import use_backend
-
-        def samples():
-            attack = RewindAttack(seed=0)
-            attack.prepare()
-            return [
-                (s.secret, s.latency, s.stall)
-                for bit in (0, 1, 0, 1)
-                for s in [attack.sample(bit)]
-            ]
-
-        scalar = samples()
-        with use_backend("batched"):
-            batched = samples()
-        assert scalar == batched
 
 
 class TestInterferenceChannel:

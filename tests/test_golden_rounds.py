@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.attack import GadgetParams, UnxpecAttack
-from repro.cpu.backend import BACKENDS, use_backend
 from repro.cpu.noise import campaign_noise
 
 #: secret-bit sequence sampled for each deterministic configuration.
@@ -50,35 +49,26 @@ def _round_latencies(attack: UnxpecAttack, bits) -> list:
     return [attack.sample(bit).latency for bit in bits]
 
 
-# Both execution backends must reproduce these sequences bit-for-bit: the
-# batched backend's memoized replay is pinned against the same goldens as
-# the scalar reference (the attack is constructed *inside* use_backend so
-# make_core picks the parametrized backend).
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestDeterministicRounds:
     @pytest.mark.parametrize("n_loads", sorted(GOLDEN_PLAIN))
-    def test_plain_rounds(self, backend, n_loads):
-        with use_backend(backend):
-            attack = UnxpecAttack(
-                params=GadgetParams(n_loads=n_loads), use_eviction_sets=False, seed=0
-            )
-            assert _round_latencies(attack, SAMPLE_BITS) == GOLDEN_PLAIN[n_loads]
+    def test_plain_rounds(self, n_loads):
+        attack = UnxpecAttack(
+            params=GadgetParams(n_loads=n_loads), use_eviction_sets=False, seed=0
+        )
+        assert _round_latencies(attack, SAMPLE_BITS) == GOLDEN_PLAIN[n_loads]
 
     @pytest.mark.parametrize("n_loads", sorted(GOLDEN_EVSET))
-    def test_evset_rounds(self, backend, n_loads):
-        with use_backend(backend):
-            attack = UnxpecAttack(
-                params=GadgetParams(n_loads=n_loads), use_eviction_sets=True, seed=0
-            )
-            assert _round_latencies(attack, SAMPLE_BITS) == GOLDEN_EVSET[n_loads]
+    def test_evset_rounds(self, n_loads):
+        attack = UnxpecAttack(
+            params=GadgetParams(n_loads=n_loads), use_eviction_sets=True, seed=0
+        )
+        assert _round_latencies(attack, SAMPLE_BITS) == GOLDEN_EVSET[n_loads]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestNoisyRounds:
     @pytest.mark.parametrize("seed", sorted(GOLDEN_NOISY))
-    def test_campaign_noise_rounds(self, backend, seed):
-        with use_backend(backend):
-            attack = UnxpecAttack(
-                params=GadgetParams(n_loads=1), seed=seed, noise=campaign_noise()
-            )
-            assert _round_latencies(attack, (0, 1) * 5) == GOLDEN_NOISY[seed]
+    def test_campaign_noise_rounds(self, seed):
+        attack = UnxpecAttack(
+            params=GadgetParams(n_loads=1), seed=seed, noise=campaign_noise()
+        )
+        assert _round_latencies(attack, (0, 1) * 5) == GOLDEN_NOISY[seed]

@@ -3,8 +3,7 @@
 Channel verdicts are judged on synthetic observation sets (exact
 thresholds), the grid on registry composition, and the matrix experiment
 on the campaign determinism contract (identical digests for any jobs
-count and backend — the property ``python -m repro.experiments matrix``
-relies on).
+count — the property ``python -m repro.experiments matrix`` relies on).
 """
 
 from __future__ import annotations
@@ -209,7 +208,7 @@ class TestGrid:
 
 
 class TestMatrixExperiment:
-    """The full experiment at quick scale: determinism across jobs/backends.
+    """The full experiment at quick scale: determinism across jobs counts.
 
     The verdict *content* (which cells leak, overhead ordering) is pinned
     by the experiment's own checks and by the campaign digest in
@@ -232,11 +231,3 @@ class TestMatrixExperiment:
 
         (sharded,) = CampaignRunner(jobs=4).run(ids=["matrix"], quick=True, seed=0)
         assert sharded.result.to_json() == reference
-
-    def test_backend_does_not_change_the_result(self, reference):
-        from repro.campaign import CampaignRunner
-        from repro.cpu.backend import use_backend
-
-        with use_backend("batched"):
-            (batched,) = CampaignRunner(jobs=1).run(ids=["matrix"], quick=True, seed=0)
-        assert batched.result.to_json() == reference

@@ -1,16 +1,20 @@
-"""Property: the batched backend is bit-identical to the scalar one.
+"""Property: a case replays bit-identically within one process.
 
 Random small programs (the specct generator's instruction vocabulary:
 loads, stores, flushes, forward branches, fences) run for several rounds
-on random cache/MSHR geometries under both backends; every round must
-produce identical latencies, register files, squash traces, event-trace
-tails, registry snapshots, and full machine/stats fingerprints.
+on random cache/MSHR geometries. Each case runs twice, with a machine
+built from a different seed in between; every round of the second run
+must match the first: latencies, register files, squash traces,
+event-trace tails, registry snapshots, and full machine/stats
+fingerprints. This guards the state a process shares between machines —
+the per-process CEASER set-index memo and the default observability
+scope that holds the stats registry — across random geometries.
 
-The checked-in corpus (tests/differential/corpus) is replayed first —
-via test_differential_golden.py's parametrization order in this module's
-sibling — so known regressions fail fast and deterministically before
-Hypothesis spends time searching. A failing example writes its shrunk
-first-divergence report to ``DIVERGENCE_REPORT.txt`` for CI upload.
+The checked-in corpus (tests/differential/corpus) is checked against its
+``expected`` goldens first, so known regressions fail fast and
+deterministically before Hypothesis spends time searching. A failing
+example writes its shrunk first-divergence report to
+``DIVERGENCE_REPORT.txt`` for CI upload.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from tests.differential.harness import (
-    compare_case,
+    check_case,
+    divergence_report,
     first_divergence,
     load_corpus,
     run_case,
@@ -69,9 +74,9 @@ _pokes = st.lists(
 
 def test_corpus_replays_before_search():
     """The regression corpus is re-checked here too: a property-test run
-    on a broken backend must fail on the known cases first."""
+    on a broken core must fail on the known cases first."""
     for case in load_corpus():
-        report = compare_case(case)
+        report = check_case(case)
         assert report is None, f"corpus case {case['name']} diverged:\n{report}"
 
 
@@ -85,7 +90,7 @@ def test_corpus_replays_before_search():
         ("cleanup", "unsafe", "delay", "constant", "safespec", "cachesquash")
     ),
 )
-def test_backends_equivalent_on_random_programs(specs, config, pokes, seed, defense):
+def test_random_programs_replay_in_process(specs, config, pokes, seed, defense):
     case = {
         "name": "hypothesis-generated",
         "mode": "program",
@@ -96,15 +101,17 @@ def test_backends_equivalent_on_random_programs(specs, config, pokes, seed, defe
         "program": [list(s) for s in specs],
         "pokes": [list(p) for p in pokes],
     }
-    scalar_rows = run_case(case, "scalar")
-    batched_rows = run_case(case, "batched")
-    where = first_divergence(scalar_rows, batched_rows)
+    first = run_case(case)
+    # A machine from another seed in between: another CEASER key enters
+    # the shared set-index memo, and the process-wide default
+    # observability scope is set and restored once more.
+    run_case({**case, "seed": seed + 8})
+    again = run_case(case)
+    where = first_divergence(first, again)
     if where is not None:
-        from tests.differential.harness import divergence_report
-
-        report = divergence_report(case, scalar_rows, batched_rows)
+        report = divergence_report(case, first, again, labels=("first", "again"))
         write_report(report)
         raise AssertionError(
-            f"backends diverged at round {where[0]} field {where[1]!r}; "
+            f"replay diverged at round {where[0]} field {where[1]!r}; "
             f"add the shrunk case to tests/differential/corpus/:\n{report}"
         )
