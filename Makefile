@@ -2,6 +2,10 @@
 
 PYTHON ?= python
 
+# Every target runs the package from this checkout's src/ (no install
+# needed); a caller's PYTHONPATH is kept after it.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test bench bench-core bench-e2e coverage experiments report quick-report campaign-smoke campaign-fault-smoke campaign-top invariance-smoke stats examples lint specct-smoke clean
 
 install:
@@ -18,7 +22,7 @@ bench:
 # and fails if the calibration-normalized metrics regressed >25% against
 # the committed baseline.
 bench-core:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_core.py -q
+	$(PYTHON) -m pytest benchmarks/test_bench_core.py -q
 	@$(PYTHON) -c "import json; d = json.load(open('BENCH_core.json')); \
 	    m, s = d['measured'], d['speedup_vs_seed']; \
 	    print('bench-core: %.3f ms/round (%.2fx vs seed), %.0f inst/s (%.2fx)' % \
@@ -69,7 +73,7 @@ campaign-smoke:
 	    'jobs=1 vs jobs=2 stats diverged'; \
 	    assert a['spans'] == b['spans'], 'jobs=1 vs jobs=2 span trees diverged'; \
 	    print('campaign-smoke: jobs-invariant')"
-	PYTHONPATH=src $(PYTHON) -c "from repro.campaign.events import read_events, canonical_events; \
+	$(PYTHON) -c "from repro.campaign.events import read_events, canonical_events; \
 	    import json; a, b = (canonical_events(read_events(p)) for p in \
 	    ('campaign-events-jobs1.jsonl', 'campaign-events-jobs2.jsonl')); \
 	    assert a == b, 'jobs=1 vs jobs=2 canonical event streams diverged'; \
@@ -84,10 +88,10 @@ campaign-smoke:
 # must pass too. CI uploads REPORT-$(EXP).md and $(EXP)-jobs1.json.
 invariance-smoke:
 	@test -n "$(EXP)" || { echo 'usage: make invariance-smoke EXP=<experiment id>'; exit 2; }
-	PYTHONPATH=src $(PYTHON) -m repro.experiments $(EXP) --quick --jobs 1 --no-cache \
+	$(PYTHON) -m repro.experiments $(EXP) --quick --jobs 1 --no-cache \
 	    --json $(EXP)-jobs1.json > REPORT-$(EXP).md
 	@cat REPORT-$(EXP).md
-	PYTHONPATH=src $(PYTHON) -m repro.experiments $(EXP) --quick --jobs 4 --no-cache \
+	$(PYTHON) -m repro.experiments $(EXP) --quick --jobs 4 --no-cache \
 	    --json $(EXP)-jobs4.json
 	$(PYTHON) -c "import json; a, b = (json.load(open(p)) for p in \
 	    ('$(EXP)-jobs1.json', '$(EXP)-jobs4.json')); \
@@ -127,8 +131,8 @@ stats:
 # Repo lint: the AST determinism checker (always), then ruff if it is
 # installed (CI installs it; locally it is optional).
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.lint_determinism src/repro
-	PYTHONPATH=src $(PYTHON) -m repro.tools.lint_determinism --only DET007 tests
+	$(PYTHON) -m repro.tools.lint_determinism src/repro
+	$(PYTHON) -m repro.tools.lint_determinism --only DET007 tests
 	@if command -v ruff >/dev/null 2>&1; then \
 	    ruff check .; \
 	else \
@@ -140,8 +144,8 @@ lint:
 # sign agrees with the dynamic timing delta), plus one example lint of
 # the paper's gadget via the main CLI alias.
 specct-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.specct --crossval --quick
-	PYTHONPATH=src $(PYTHON) -m repro.experiments lint-program gadget:round --n-loads 2; \
+	$(PYTHON) -m repro.analysis.specct --crossval --quick
+	$(PYTHON) -m repro.experiments lint-program gadget:round --n-loads 2; \
 	    status=$$?; \
 	    if [ $$status -ne 1 ]; then \
 	        echo "FAIL: expected exit 1 (findings) for the gadget, got $$status"; exit 1; \
@@ -152,7 +156,7 @@ specct-smoke:
 # tables (src/repro/isa/decoded.py) and the analyses; uses coverage.py when
 # installed, else a stdlib tracer. Writes COVERAGE.json (CI artifact).
 coverage:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.coverage_gate --out COVERAGE.json
+	$(PYTHON) -m repro.tools.coverage_gate --out COVERAGE.json
 
 examples:
 	$(PYTHON) examples/quickstart.py

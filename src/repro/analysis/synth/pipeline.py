@@ -30,8 +30,8 @@ any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 from ...attack.layout import DEFAULT_LAYOUT, AttackLayout
 from ...cache.hierarchy import CacheHierarchy

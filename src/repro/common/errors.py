@@ -20,8 +20,8 @@ class ConfigError(ReproError):
     """
 
 
-class IsaError(ReproError):
-    """An instruction or program is malformed.
+class LocatedError(ReproError):
+    """An error that can point at one instruction of one program.
 
     Carries optional structured location info (``program`` name, ``pc``
     instruction index, ``instruction`` text) so tooling — the specct
@@ -53,16 +53,21 @@ class IsaError(ReproError):
         super().__init__(message)
 
 
+class IsaError(LocatedError):
+    """An instruction or program is malformed."""
+
+
 class AssemblerError(IsaError):
     """Textual assembly could not be parsed."""
 
 
-class SimulationError(ReproError):
+class SimulationError(LocatedError):
     """The simulator reached an invalid state.
 
     This always indicates a bug in either the simulated program (e.g. a load
     from an unmapped address) or the simulator itself; it is never part of
-    normal control flow.
+    normal control flow. Faults of a running program (a pc out of range,
+    an exhausted instruction budget) carry its location.
     """
 
 

@@ -1,8 +1,7 @@
-"""Out-of-order core: predictor, ROB/LSQ models, noise, trace-driven executor."""
+"""Out-of-order core: predictor, functional units, noise, trace-driven executor."""
 
 from .core import DEFAULT_SQUASH_DELAY, NEVER, Core
 from .fu import FU_ALU, FU_DIV, FU_MUL, FuPool, OccupancyTimeline, fu_for_op
-from .lsq import InflightMemTracker, LsqStats
 from .noise import NoiseModel, campaign_noise
 from .predictor import (
     STRONG_NOT_TAKEN,
@@ -12,7 +11,6 @@ from .predictor import (
     BimodalPredictor,
     PredictorStats,
 )
-from .rob import RobModel, RobStats
 from .timing import InstructionTiming, RunResult, SquashEvent
 
 __all__ = [
@@ -31,10 +29,6 @@ __all__ = [
     "fu_for_op",
     "FuPool",
     "OccupancyTimeline",
-    "RobModel",
-    "RobStats",
-    "InflightMemTracker",
-    "LsqStats",
     "NoiseModel",
     "campaign_noise",
     "InstructionTiming",

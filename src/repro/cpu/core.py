@@ -4,9 +4,9 @@ The core executes a :class:`~repro.isa.program.Program` functionally while
 computing per-instruction *timestamps* with dataflow scheduling:
 
 * instructions dispatch in order, ``dispatch_width`` per cycle, subject to
-  ROB-occupancy back-pressure (the bounded commit-time deque below — the
-  standalone :class:`~repro.cpu.rob.RobModel` documents and unit-tests the
-  same recurrence);
+  ROB-occupancy back-pressure (a bounded deque of commit times: an
+  instruction cannot dispatch before the one ``rob_entries`` older has
+  committed);
 * an instruction starts once its source registers are ready (plus the fence
   barrier for memory ops) and completes after its unit latency — loads get
   their latency from the cache hierarchy, *mutating* it;
@@ -18,6 +18,12 @@ computing per-instruction *timestamps* with dataflow scheduling:
   :class:`~repro.defense.base.Defense` then observes the speculative delta
   and returns a stall; fetch resumes after
   ``squash_point + mispredict_penalty + stall``.
+
+Both paths issue loads through one step, :meth:`Core._issue_load`, which
+applies the defense's :attr:`~repro.defense.base.Defense.speculative_miss`
+policy, and divisions through :meth:`~repro.cpu.fu.FuPool.acquire_div`: the
+committed path passes no deadline (:data:`NEVER`), the wrong path its
+squash point.
 
 This reproduces the properties the attack rests on (paper §IV): branch
 resolution time is set by the condition's dependence chain, independent of
@@ -69,13 +75,18 @@ from .noise import NoiseModel
 from .predictor import BimodalPredictor, WEAK_TAKEN
 from .timing import InstructionTiming, RunResult, SquashEvent
 
-#: Sentinel completion time for wrong-path results that never arrive.
+#: Sentinel completion time for wrong-path results that never arrive, and
+#: the deadline of committed work (nothing squashes it).
 NEVER = 1 << 60
 
 #: Cycles between branch resolution and the squash taking effect (walking
 #: the ROB, broadcasting the squash). Transient loads completing within this
 #: window still install and are then rolled back.
 DEFAULT_SQUASH_DELAY = 12
+
+#: What :meth:`Core._issue_load` reports as a load's server when a shadow
+#: structure (not the real hierarchy) serviced its miss.
+SHADOW_FILL = "shadow"
 
 
 @dataclass
@@ -122,9 +133,6 @@ class Core:
         self.squash_delay = squash_delay
         self._noise_rng: np.random.Generator = derive_rng(noise_seed, "core-noise")
         self.record_timeline = record_timeline
-        #: Wrong-path execution is bounded by the ROB (an instruction can
-        #: only issue speculatively if it fits behind the branch).
-        self.max_wrong_path = self.config.rob_entries
         #: Two-context interference hooks (repro.cpu.fu.OccupancyTimeline).
         #: ``port_timeline`` — this core *records* the busy intervals its
         #: beyond-L1 traffic (committed loads, wrong-path fills, shadow
@@ -193,8 +201,7 @@ class Core:
         result = RunResult(program_name=program.name, cycles=0, instructions=0, registers=regs)
 
         obs = self.obs
-        has_obs = obs is not None
-        trace = obs.trace if has_obs else None
+        trace = obs.trace if obs is not None else None
         emit_commit = trace is not None and trace.commit_events
         emit_full = trace is not None and trace.full_events
         record_timeline = self.record_timeline
@@ -209,16 +216,13 @@ class Core:
         raw_get = raw.get
         ready_get = ready.get
         hierarchy = self.hierarchy
-        hier_access = hierarchy.access
         dram_peek = hierarchy.dram.peek
         # Effective addresses wrap to the DRAM address space (a power of
         # two), so negative/overflowed computed addresses execute
         # deterministically; register values keep full 64-bit semantics.
         addr_mask = hierarchy.addr_mask
-        noise = self.noise
-        noise_enabled = noise.enabled
-        noise_event = noise.system_event
-        noise_jitter = noise.mem_jitter
+        noise_enabled = self.noise.enabled
+        noise_event = self.noise.system_event
         noise_rng = self._noise_rng
         predictor = self.predictor
         alu_latency = cfg.alu_latency
@@ -228,17 +232,17 @@ class Core:
         flush_latency = cfg.flush_latency
         timer_latency = cfg.timer_latency
         dispatch_width = cfg.dispatch_width
-        squash_delay = self.squash_delay
         # Divider occupancy is per-run (the machine quiesces between runs,
         # like the MSHR drain below).
         fu_pool = FuPool()
         self.fu_pool = fu_pool
         acquire_div = fu_pool.acquire_div
-        port_timeline = self.port_timeline
-        contended = self.contended_timeline
+        # The defense's speculative-miss policy, read by _issue_load.
+        self._speculative_miss = self.defense.speculative_miss
+        issue_load = self._issue_load
 
-        # ROB back-pressure state (see repro.cpu.rob.RobModel for the same
-        # recurrence in documented, unit-tested form).
+        # ROB back-pressure state: the commit times of the last
+        # ``rob_entries`` instructions (commit is in order).
         rob_entries = cfg.rob_entries
         commit_times: deque = deque(maxlen=rob_entries)
         commit_times_append = commit_times.append
@@ -246,8 +250,8 @@ class Core:
         dispatched_this_cycle = 0
         last_commit = 0
 
-        # In-flight memory summary (see repro.cpu.lsq.InflightMemTracker):
-        # max completion time of issued memory ops, and the fence barrier.
+        # In-flight memory summary: max completion time of issued memory
+        # ops, and the fence barrier.
         mem_max_complete = 0
         fence_barrier = 0
 
@@ -258,15 +262,17 @@ class Core:
         # Latest branch-resolution time seen so far: a load starting before
         # this is speculative w.r.t. an older branch (delay-on-miss uses it).
         max_branch_resolve = 0
-        delay_misses = getattr(self.defense, "delay_speculative_misses", False)
 
         while True:
+            if not 0 <= pc < n_code:
+                raise SimulationError("pc out of range", program=program.name, pc=pc)
             if committed >= max_instructions:
                 raise SimulationError(
-                    f"{program.name}: exceeded {max_instructions} instructions"
+                    f"exceeded {max_instructions} instructions",
+                    program=program.name,
+                    pc=pc,
+                    instruction=str(program[pc]),
                 )
-            if not 0 <= pc < n_code:
-                raise SimulationError(f"{program.name}: pc {pc} out of range")
             ins = code[pc]
             op = ins[0]
 
@@ -306,7 +312,7 @@ class Core:
                 if fu == FU_DIV:
                     # Non-pipelined: queue behind any in-flight division —
                     # including a *transient* one (the SpectreRewind leak).
-                    start = acquire_div(start, div_latency)
+                    start = acquire_div(start, div_latency, NEVER)
                     complete = start + div_latency
                 else:
                     complete = start + (mul_latency if fu else alu_latency)
@@ -326,7 +332,7 @@ class Core:
                     start = dispatch
                 fu = ins[5]
                 if fu == FU_DIV:
-                    start = acquire_div(start, div_latency)
+                    start = acquire_div(start, div_latency, NEVER)
                     complete = start + div_latency
                 else:
                     complete = start + (mul_latency if fu else alu_latency)
@@ -343,30 +349,9 @@ class Core:
                 if fence_barrier > start:
                     start = fence_barrier
                 addr = (raw_get(base, 0) + ins[3]) & addr_mask
-                if delay_misses and start < max_branch_resolve:
-                    # Invisible-family delay-on-miss: an L1 miss issued under
-                    # an unresolved branch waits for the branch to resolve.
-                    # The miss prediction is MSHR-pressure-aware, matching
-                    # the wrong-path predict_latency call — probe_latency
-                    # here would disagree with what access() charges when
-                    # the MSHR file is full (same level, so the *decision*
-                    # is unchanged; kept aligned so it stays that way).
-                    _, probe_level = hierarchy.predict_latency(addr, start)
-                    if probe_level != "L1":
-                        start = max_branch_resolve
-                access = hier_access(addr, cycle=start)
-                latency = access.latency
-                level = access.level
-                if level == "MEM":
-                    latency = max(1, latency + noise_jitter(noise_rng))
-                if level != "L1":
-                    if contended is not None:
-                        # Two-context interference: wait out the other
-                        # context's recorded traffic on the shared port.
-                        latency += contended.next_free(start) - start
-                    if port_timeline is not None:
-                        port_timeline.record(start, latency)
-                complete = start + latency
+                start, complete, level = issue_load(
+                    addr, start, NEVER, None, max_branch_resolve
+                )
                 dst = ins[1]
                 raw[dst] = dram_peek(addr) & WORD_MASK
                 ready[dst] = complete
@@ -399,100 +384,28 @@ class Core:
                 if resolve > max_branch_resolve:
                     max_branch_resolve = resolve
                 taken_pc = ins[4]
-                correct_next = taken_pc if actual else pc + 1
                 if predicted != actual:
-                    wrong_pc = taken_pc if predicted else pc + 1
-                    squash_point = resolve + squash_delay
-                    epoch = hierarchy.open_epoch()
-                    wp = self._run_wrong_path(
+                    fetch_resume = self._squash(
                         program,
-                        wrong_pc,
+                        pc,
+                        taken_pc if predicted else pc + 1,
                         regs,
                         ready,
-                        branch_dispatch=dispatch,
-                        squash_point=squash_point,
-                        epoch=epoch,
-                        fence_barrier=fence_barrier,
-                    )
-                    delta = hierarchy.squash_epoch_delta(epoch)
-                    # Observability guard: one predicate for the whole squash
-                    # path (begin + delta + end + counters). ``obs`` carries
-                    # the trace, so ``has_obs`` implies ``trace is not None``.
-                    if has_obs:
-                        trace.emit(
-                            squash_point,
-                            "squash.begin",
-                            (pc, resolve, wp.executed, wp.loads_issued, wp.inflight),
-                        )
-                        trace.emit(
-                            squash_point,
-                            "spec.delta",
-                            (
-                                epoch,
-                                sum(1 for i in delta.installs if i.level == "L1"),
-                                sum(1 for i in delta.installs if i.level == "L2"),
-                                sum(1 for e in delta.evictions if e.level == "L1"),
-                                sum(1 for e in delta.evictions if e.level == "L2"),
-                                wp.inflight,
-                            ),
-                        )
-                    ctx = SquashContext(
-                        resolve_cycle=squash_point,
-                        delta=delta,
-                        inflight_transient=wp.inflight,
-                        older_mem_complete=mem_max_complete,
-                        shadow_fills=wp.shadow_fills,
-                        shadow_inflight=wp.shadow_inflight,
-                    )
-                    outcome = self.defense.on_squash(ctx)
-                    fetch_resume = (
-                        squash_point + cfg.mispredict_penalty + outcome.stall_cycles
+                        dispatch,
+                        resolve,
+                        fence_barrier,
+                        mem_max_complete,
+                        result,
                     )
                     if fetch_resume > fetch_available:
                         fetch_available = fetch_resume
-                    if has_obs:
-                        trace.emit(
-                            fetch_resume,
-                            "squash.end",
-                            (
-                                pc,
-                                fetch_resume,
-                                outcome.stall_cycles,
-                                outcome.stage("t3_mshr_clean"),
-                                outcome.stage("t4_inflight_wait"),
-                                outcome.stage("t5_rollback"),
-                                outcome.stage("dummy"),
-                                outcome.stage("padding"),
-                                outcome.invalidated_l1,
-                                outcome.invalidated_l2,
-                                outcome.restored_l1,
-                            ),
-                        )
-                        self._st_squashes.inc()
-                        self._st_wp_executed.inc(wp.executed)
-                        self._st_wp_loads.inc(wp.loads_issued)
-                        self._st_wp_inflight.inc(wp.inflight)
-                        self._st_defense_stall.inc(outcome.stall_cycles)
-                        self._st_squash_stall.add(outcome.stall_cycles)
-                    result.squashes.append(
-                        SquashEvent(
-                            branch_pc=pc,
-                            resolve_cycle=resolve,
-                            squash_cycle=squash_point,
-                            fetch_resume=fetch_resume,
-                            wrong_path_executed=wp.executed,
-                            transient_loads=wp.loads_issued,
-                            inflight_transient=wp.inflight,
-                            outcome=outcome,
-                        )
-                    )
                 # Train the predictor only *after* wrong-path simulation: the
                 # transient path peeks the counter via ``predictor.counter``,
                 # and real hardware updates the BPU at resolution/commit — a
                 # wrong-path re-fetch of the same branch pc (a loop) must see
                 # the pre-resolution counter, not this update.
                 predictor.update(pc, actual, mispredicted=predicted != actual)
-                next_pc = correct_next
+                next_pc = taken_pc if actual else pc + 1
 
             elif op == OP_STORE:
                 # (src, base, offset)
@@ -507,7 +420,7 @@ class Core:
                 if fence_barrier > start:
                     start = fence_barrier
                 addr = (raw_get(base, 0) + ins[3]) & addr_mask
-                access = hier_access(addr, cycle=start, is_write=True)
+                access = hierarchy.access(addr, cycle=start, is_write=True)
                 hierarchy.dram.poke(addr, raw_get(src, 0))
                 complete = start + access.latency
                 level = access.level
@@ -542,11 +455,10 @@ class Core:
                 ready[dst] = complete
 
             elif op == OP_JUMP:
-                complete = dispatch
                 next_pc = ins[1]
 
             elif op == OP_NOP:
-                complete = dispatch
+                pass
 
             elif op == OP_HALT:
                 commit = dispatch if dispatch > last_commit else last_commit
@@ -600,7 +512,7 @@ class Core:
         # wrong path never touches the hierarchy otherwise leak the final
         # committed miss's entry into every subsequent round.)
         hierarchy.mshr.retire_completed(NEVER)
-        if has_obs:
+        if obs is not None:
             self._st_runs.inc()
             self._st_instructions.inc(committed)
             self._st_cycles.inc(result.cycles)
@@ -610,6 +522,172 @@ class Core:
             # too expensive for thousand-round campaigns that never read it.
             result.attach_stats_source(obs.registry.to_dict)
         return result
+
+    def _issue_load(
+        self, addr: int, start: int, deadline: int, epoch: Optional[int], resolved: int
+    ) -> "tuple[int, int, Optional[str]]":
+        """Issue one load of ``addr`` whose operands are ready at ``start``.
+
+        ``resolved`` is the cycle every older branch has resolved by: the
+        latest resolution for a committed load, NEVER on the wrong path.
+        Returns ``(start, complete, served)``: the issue cycle (a delayed
+        miss issues late), the arrival cycle (NEVER if not before
+        ``deadline``), and what serviced the load — "L1", "L2", "MEM",
+        :data:`SHADOW_FILL`, or None if it never issued.
+        """
+        if start >= deadline:
+            # Still in the reservation station at the squash: no side effect.
+            return start, NEVER, None
+        hierarchy = self.hierarchy
+        policy = self._speculative_miss
+        if epoch is None:
+            # Nothing can squash it: pay the real access up front. Under
+            # delay-on-miss an L1 miss first waits for older branches.
+            if policy == "delay" and start < resolved and hierarchy.probe_latency(addr)[1] != "L1":
+                start = resolved
+            access = hierarchy.access(addr, cycle=start)
+            latency = access.latency
+            level = access.level
+        elif policy == "install":
+            # MSHR-pressure-aware and side-effect-free, so the landed-vs-
+            # in-flight decision below agrees with what access() charges.
+            latency, level = hierarchy.predict_latency(addr, start)
+        else:
+            latency, level = hierarchy.probe_latency(addr)
+        jitter = 0
+        if level == "MEM":
+            # One draw per memory-level load under every policy (a delayed
+            # miss that dies below burns it too): the noise stream stays in
+            # step across defenses.
+            jitter = self.noise.mem_jitter(self._noise_rng)
+            latency = max(1, latency + jitter)
+        if level != "L1":
+            if policy == "delay" and start < resolved:
+                # Its branch resolves against it: never issued downstream.
+                return start, NEVER, None
+            if epoch is None and self.contended_timeline is not None:
+                # Wait out the other context's recorded port traffic.
+                latency += self.contended_timeline.next_free(start) - start
+            if self.port_timeline is not None:
+                # In flight, any fill occupies the shared port: landed,
+                # cleaned out of the MSHR, or shadow.
+                self.port_timeline.record(start, latency)
+        complete = start + latency
+        if epoch is None or (level == "L1" and policy != "install"):
+            return start, complete, level
+        if policy != "install":
+            # Shadow fill; one still in flight at the squash is cancelled.
+            return start, complete if complete <= deadline else NEVER, SHADOW_FILL
+        if complete > deadline and level != "L1":
+            # In flight at the squash: cleaned out of the MSHR (CleanupSpec's
+            # T3), never installed.
+            return start, NEVER, level
+        # Lands before the squash: installs under ``epoch`` for rollback.
+        # The completion is re-derived from the actual access cost.
+        access = hierarchy.access(addr, cycle=start, speculative=True, epoch=epoch)
+        latency = access.latency
+        if access.level == "MEM":
+            latency = max(1, latency + jitter)
+        return start, start + latency, level
+
+    def _squash(
+        self,
+        program: Program,
+        pc: int,
+        wrong_pc: int,
+        regs: RegisterFile,
+        ready: Dict[str, int],
+        dispatch: int,
+        resolve: int,
+        fence_barrier: int,
+        older_mem_complete: int,
+        result: RunResult,
+    ) -> int:
+        """Run the branch at ``pc``'s wrong path from ``wrong_pc`` in a fresh
+        epoch, let the defense squash it and record the :class:`SquashEvent`;
+        return the cycle fetch resumes on the correct path."""
+        squash_point = resolve + self.squash_delay
+        epoch = self.hierarchy.open_epoch()
+        wp = self._run_wrong_path(
+            program,
+            wrong_pc,
+            regs,
+            ready,
+            branch_dispatch=dispatch,
+            squash_point=squash_point,
+            epoch=epoch,
+            fence_barrier=fence_barrier,
+        )
+        delta = self.hierarchy.squash_epoch_delta(epoch)
+        # Observability guard: one predicate for the whole squash (begin +
+        # delta + end + counters). ``obs`` carries the trace.
+        obs = self.obs
+        if obs is not None:
+            trace = obs.trace
+            trace.emit(
+                squash_point,
+                "squash.begin",
+                (pc, resolve, wp.executed, wp.loads_issued, wp.inflight),
+            )
+            trace.emit(
+                squash_point,
+                "spec.delta",
+                (
+                    epoch,
+                    len(delta.installs_at("L1")),
+                    len(delta.installs_at("L2")),
+                    len(delta.evictions_at("L1")),
+                    len(delta.evictions_at("L2")),
+                    wp.inflight,
+                ),
+            )
+        ctx = SquashContext(
+            resolve_cycle=squash_point,
+            delta=delta,
+            inflight_transient=wp.inflight,
+            older_mem_complete=older_mem_complete,
+            shadow_fills=wp.shadow_fills,
+            shadow_inflight=wp.shadow_inflight,
+        )
+        outcome = self.defense.on_squash(ctx)
+        fetch_resume = squash_point + self.config.mispredict_penalty + outcome.stall_cycles
+        if obs is not None:
+            trace.emit(
+                fetch_resume,
+                "squash.end",
+                (
+                    pc,
+                    fetch_resume,
+                    outcome.stall_cycles,
+                    outcome.stage("t3_mshr_clean"),
+                    outcome.stage("t4_inflight_wait"),
+                    outcome.stage("t5_rollback"),
+                    outcome.stage("dummy"),
+                    outcome.stage("padding"),
+                    outcome.invalidated_l1,
+                    outcome.invalidated_l2,
+                    outcome.restored_l1,
+                ),
+            )
+            self._st_squashes.inc()
+            self._st_wp_executed.inc(wp.executed)
+            self._st_wp_loads.inc(wp.loads_issued)
+            self._st_wp_inflight.inc(wp.inflight)
+            self._st_defense_stall.inc(outcome.stall_cycles)
+            self._st_squash_stall.add(outcome.stall_cycles)
+        result.squashes.append(
+            SquashEvent(
+                branch_pc=pc,
+                resolve_cycle=resolve,
+                squash_cycle=squash_point,
+                fetch_resume=fetch_resume,
+                wrong_path_executed=wp.executed,
+                transient_loads=wp.loads_issued,
+                inflight_transient=wp.inflight,
+                outcome=outcome,
+            )
+        )
+        return fetch_resume
 
     # ------------------------------------------------------------------
     # wrong-path (transient) execution
@@ -628,14 +706,14 @@ class Core:
     ) -> _WrongPathResult:
         """Execute the mispredicted path until the squash point.
 
-        Uses a speculative copy of register values/ready-times. Loads whose
-        address is ready before the squash issue real (speculative) cache
-        accesses — they install lines, evict victims, and are recorded under
-        ``epoch`` for the defense to roll back. Stores, flushes and timer
-        reads have no speculative side effects (they only perform at
-        retirement on the modelled machine). Nested branches follow their
-        predicted direction without opening nested epochs: the outer squash
-        discards everything at once.
+        Uses a speculative copy of register values/ready-times. Loads go
+        through :meth:`_issue_load` against the squash point and ``epoch``:
+        under the defense's policy they install lines (recorded under
+        ``epoch`` for the defense to roll back), fill shadow structures, or
+        die. Stores, flushes and timer reads have no speculative side
+        effects (they only perform at retirement on the modelled machine).
+        Nested branches follow their predicted direction without opening
+        nested epochs: the outer squash discards everything at once.
         """
         cfg = self.config
         code = program.decoded()
@@ -648,22 +726,20 @@ class Core:
         barrier = fence_barrier
         out = _WrongPathResult()
 
-        hierarchy = self.hierarchy
-        addr_mask = hierarchy.addr_mask
-        noise_jitter = self.noise.mem_jitter
-        noise_rng = self._noise_rng
+        addr_mask = self.hierarchy.addr_mask
+        dram_peek = self.hierarchy.dram.peek
+        issue_load = self._issue_load
         predictor_counter = self.predictor.counter
         alu_latency = cfg.alu_latency
         mul_latency = cfg.mul_latency
         div_latency = cfg.div_latency
         # Shared with the committed path: a transient division occupies the
         # same physical divider, and the squash does not release it.
-        try_acquire_div = self.fu_pool.try_acquire_div
-        port_timeline = self.port_timeline
+        acquire_div = self.fu_pool.acquire_div
         dispatch_width = cfg.dispatch_width
-        max_wrong_path = self.max_wrong_path
-        allows_install = getattr(self.defense, "allows_speculative_install", True)
-        shadow_fills = getattr(self.defense, "shadow_speculative_fills", False)
+        # Bounded by the ROB: an instruction issues speculatively only if
+        # it fits behind the branch.
+        max_wrong_path = cfg.rob_entries
 
         count = 0
         while 0 <= pc < n_code and count < max_wrong_path:
@@ -686,20 +762,10 @@ class Core:
                 spec_values[ins[1]] = ins[4](v1, ins[3]) & WORD_MASK
                 fu = ins[5]
                 if fu == FU_DIV:
-                    # Divider occupancy is a real side effect, so it gets
-                    # the same squash-point gate as OP_LOAD — but on the
-                    # *issue slot*, not the operand-ready time: a transient
-                    # division still queued behind a busy divider at the
-                    # squash is killed in the reservation station like any
-                    # un-issued uop (operands readying past the squash, or
-                    # never via the NEVER sentinel, gate the same way). One
-                    # that reaches the unit in time occupies it past the
-                    # squash — the squash cannot recall an in-flight
-                    # division.
-                    issued = try_acquire_div(start, div_latency, squash_point)
-                    spec_ready[ins[1]] = (
-                        NEVER if issued is None else issued + div_latency
-                    )
+                    # Gated at the squash point on its *issue slot*: one that
+                    # reaches the divider in time occupies it past the squash.
+                    issued = acquire_div(start, div_latency, squash_point)
+                    spec_ready[ins[1]] = NEVER if issued is None else issued + div_latency
                 else:
                     spec_ready[ins[1]] = start + (mul_latency if fu else alu_latency)
 
@@ -721,107 +787,35 @@ class Core:
                 spec_values[ins[1]] = ins[4](v1, v2) & WORD_MASK
                 fu = ins[5]
                 if fu == FU_DIV:
-                    issued = try_acquire_div(start, div_latency, squash_point)
-                    spec_ready[ins[1]] = (
-                        NEVER if issued is None else issued + div_latency
-                    )
+                    issued = acquire_div(start, div_latency, squash_point)
+                    spec_ready[ins[1]] = NEVER if issued is None else issued + div_latency
                 else:
                     spec_ready[ins[1]] = start + (mul_latency if fu else alu_latency)
 
             elif op == OP_LOAD:
                 base = ins[2]
-                dst = ins[1]
-                base_ready = spec_ready_get(base, 0)
-                start = base_ready
+                start = spec_ready_get(base, 0)
                 if dispatch > start:
                     start = dispatch
                 if barrier > start:
                     start = barrier
-                if start >= squash_point or base_ready >= NEVER:
-                    spec_ready[dst] = NEVER
-                elif not allows_install:
-                    # Invisible-family defense: L1 hits proceed; misses
-                    # either die (delay-on-miss) or — for shadow-structure
-                    # defenses (SafeSpec shadow fills, CacheSquash
-                    # cancellable requests) — complete from a shadow buffer
-                    # without any real-hierarchy state change.
-                    vb = spec_values_get(base)
-                    if vb is None:
-                        vb = raw_get(base, 0)
-                    addr = (vb + ins[3]) & addr_mask
-                    latency, probed = hierarchy.probe_latency(addr)
-                    if probed == "L1":
-                        out.loads_issued += 1
-                        spec_values[dst] = hierarchy.dram.peek(addr)
-                        spec_ready[dst] = start + latency
-                    elif shadow_fills:
-                        if probed == "MEM":
-                            latency = max(1, latency + noise_jitter(noise_rng))
-                        if port_timeline is not None:
-                            # Shadow fills never touch real cache state, but
-                            # they DO occupy the shared downstream port while
-                            # in flight — the interference-attack observation.
-                            port_timeline.record(start, latency)
-                        complete = start + latency
-                        out.loads_issued += 1
-                        out.shadow_fills += 1
-                        if complete > squash_point:
-                            # Still in flight when the squash hits: a
-                            # cancellation-based defense must squash it.
-                            out.shadow_inflight += 1
-                            spec_ready[dst] = NEVER
-                        else:
-                            spec_values[dst] = hierarchy.dram.peek(addr)
-                            spec_ready[dst] = complete
-                    else:
-                        # Delay-on-miss: the miss is never issued downstream
-                        # (no port occupancy, no fill). Burn the jitter draw
-                        # the other defense families make for this would-be
-                        # memory access, so per-round RNG draw counts are
-                        # family-invariant.
-                        if probed == "MEM":
-                            noise_jitter(noise_rng)
-                        spec_ready[dst] = NEVER
-                else:
-                    vb = spec_values_get(base)
-                    if vb is None:
-                        vb = raw_get(base, 0)
-                    addr = (vb + ins[3]) & addr_mask
-                    # Predict the modelled cost *including* MSHR-full
-                    # pressure, without side effects: the in-flight-vs-landed
-                    # decision must agree with what access() will charge.
-                    latency, level = hierarchy.predict_latency(addr, start)
-                    jitter = 0
-                    if level == "MEM":
-                        jitter = noise_jitter(noise_rng)
-                        latency = max(1, latency + jitter)
-                    if level != "L1" and port_timeline is not None:
-                        # The fill occupies the shared port whether it lands
-                        # before the squash or is cleaned out of the MSHR.
-                        port_timeline.record(start, latency)
-                    complete = start + latency
+                vb = spec_values_get(base)
+                if vb is None:
+                    vb = raw_get(base, 0)
+                addr = (vb + ins[3]) & addr_mask
+                _, complete, served = issue_load(addr, start, squash_point, epoch, NEVER)
+                if served is not None:
                     out.loads_issued += 1
-                    if complete <= squash_point or level == "L1":
-                        # The access (and, on a miss, its fill) lands before
-                        # the squash: it really installs and must be rolled
-                        # back. L1 hits never occupy the MSHR. The completion
-                        # is re-derived from the *actual* access cost (it can
-                        # only differ from the prediction if cache/MSHR state
-                        # changed between predict and access, which nothing
-                        # here does — the re-derivation keeps them coupled).
-                        access = hierarchy.access(
-                            addr, cycle=start, speculative=True, epoch=epoch
-                        )
-                        actual_latency = access.latency
-                        if access.level == "MEM":
-                            actual_latency = max(1, actual_latency + jitter)
-                        spec_values[dst] = hierarchy.dram.peek(addr)
-                        spec_ready[dst] = start + actual_latency
-                    else:
-                        # Fill still in flight at squash: CleanupSpec cleans
-                        # it out of the MSHR (T3); the line never installs.
+                    if served == SHADOW_FILL:
+                        out.shadow_fills += 1
+                        if complete == NEVER:
+                            out.shadow_inflight += 1
+                    elif complete == NEVER:
                         out.inflight += 1
-                        spec_ready[dst] = NEVER
+                dst = ins[1]
+                if complete != NEVER:
+                    spec_values[dst] = dram_peek(addr)
+                spec_ready[dst] = complete
 
             elif op == OP_LOAD_IMM:
                 spec_values[ins[1]] = ins[2]
@@ -831,15 +825,6 @@ class Core:
                 # Peek the counter without polluting prediction statistics.
                 predicted = predictor_counter(pc) >= WEAK_TAKEN
                 next_pc = ins[4] if predicted else pc + 1
-
-            elif op == OP_STORE:
-                # Speculative stores do not perform; they sit in the store
-                # queue and are squashed.
-                pass
-
-            elif op == OP_FLUSH:
-                # clflush is ordered; it does not perform speculatively.
-                pass
 
             elif op == OP_FENCE:
                 fence_at = dispatch
@@ -857,12 +842,11 @@ class Core:
             elif op == OP_JUMP:
                 next_pc = ins[1]
 
-            elif op == OP_NOP:
-                pass
-
             elif op == OP_HALT:
                 break
 
+            # Stores (they sit in the store queue), flushes (clflush is
+            # ordered) and nops have no speculative effect.
             out.executed += 1
             pc = next_pc
 

@@ -28,7 +28,7 @@ couple two *separate* runs (victim records, attacker replays).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 # The FU identifiers are assigned at decode time, so they are defined next to
 # the tuple layouts in repro.isa.decoded (importing the other way round would
@@ -68,31 +68,16 @@ class FuPool:
         #: Divisions that found the unit busy and had to wait.
         self.div_contended = 0
 
-    def acquire_div(self, start: int, latency: int) -> int:
-        """Occupy the divider from ``start``; return the actual start cycle.
+    def acquire_div(self, start: int, latency: int, deadline: int) -> Optional[int]:
+        """Occupy the divider for a division ready at ``start``.
 
-        Returns ``max(start, busy_until)`` and marks the unit busy until
-        ``actual_start + latency``. Callers complete the division at
-        ``actual_start + latency``.
-        """
-        busy = self.div_busy_until
-        if busy > start:
-            start = busy
-            self.div_contended += 1
-        self.div_busy_until = start + latency
-        self.div_issues += 1
-        return start
-
-    def try_acquire_div(self, start: int, latency: int, deadline: int):
-        """Speculative acquire: occupy the divider only if issue beats ``deadline``.
-
-        A transient division sitting in the reservation station (operands
-        ready at ``start`` but the unit busy) is killed by the squash like
-        any other un-issued uop — only a division that actually *reaches*
-        the divider before the squash point keeps grinding through it.
-        Returns the actual start cycle, or ``None`` (no side effect) when
-        the issue slot ``max(start, busy_until)`` lands at or past
-        ``deadline``.
+        The division issues at ``max(start, busy_until)`` and the unit stays
+        busy until ``issue + latency``; the caller completes it then. A
+        transient division whose issue slot lands at or past ``deadline``
+        (its squash point) is still in the reservation station when the
+        squash hits and dies like any un-issued uop: the call returns None
+        and leaves no side effect. Committed divisions pass ``NEVER`` and
+        always issue. Returns the issue cycle.
         """
         busy = self.div_busy_until
         actual = busy if busy > start else start

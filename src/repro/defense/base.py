@@ -44,7 +44,7 @@ class SquashContext:
     #: basis of the T4 wait. A fence before the window pins this <= resolve.
     older_mem_complete: int
     #: Wrong-path misses serviced into shadow structures (only non-zero
-    #: when the defense sets ``shadow_speculative_fills``); the squashed
+    #: under the ``"shadow"`` speculative-miss policy); the squashed
     #: window's shadow state to discard.
     shadow_fills: int = 0
     #: Of those, fills still in flight at the squash point — the requests a
@@ -111,21 +111,18 @@ class Defense(abc.ABC):
     #: Human-readable scheme name used in reports.
     name: str = "defense"
 
-    #: Undo-family defenses let transient loads install cache lines (and
-    #: roll them back on squash). Invisible-family defenses set this False:
-    #: the core then never installs wrong-path fills.
-    allows_speculative_install: bool = True
-
-    #: Invisible-family "delay-on-miss": a load that misses the L1 while an
-    #: older branch is unresolved is deferred until the branch resolves.
-    delay_speculative_misses: bool = False
-
-    #: Shadow-structure defenses (SafeSpec, CacheSquash): a wrong-path miss
-    #: completes from a shadow L1/MSHR fill (value forwarded at the real
-    #: latency) without installing into the real hierarchy; the squash
-    #: context reports the window's shadow-fill counts. Only meaningful
-    #: together with ``allows_speculative_install = False``.
-    shadow_speculative_fills: bool = False
+    #: What a wrong-path load that misses the L1 does (L1 hits always
+    #: proceed); one of:
+    #:
+    #: * ``"install"`` — the fill installs into the real hierarchy, recorded
+    #:   for the defense to roll back (undo family, and no defense at all);
+    #: * ``"shadow"`` — the fill completes from a shadow structure at its
+    #:   real latency without touching the real hierarchy, and the squash
+    #:   context reports the window's shadow fills (SafeSpec, CacheSquash);
+    #: * ``"delay"`` — delay-on-miss (invisible family): a miss issued
+    #:   before an older branch resolves waits for it, so a wrong-path miss
+    #:   never issues and dies with the squash.
+    speculative_miss: str = "install"
 
     squash_count = counter()
     total_stall = counter()

@@ -21,8 +21,8 @@ Security consequences reproduced here:
 
 Modelling notes: like :class:`~repro.defense.safespec.SafeSpec`, the core
 serves wrong-path misses without touching the real hierarchy
-(:attr:`Defense.shadow_speculative_fills` — the fill buffer is the
-cancellable request), and the squash context reports how many of the
+(the ``"shadow"`` :attr:`Defense.speculative_miss` policy — the fill buffer
+is the cancellable request), and the squash context reports how many of the
 window's requests were still in flight at the squash point; only those
 need cancellation messages.
 """
@@ -49,8 +49,7 @@ DEFAULT_COALESCE_WIDTH = 8
 class CacheSquash(Defense):
     """Cancellable-request defense with coalesced cancellation timing."""
 
-    allows_speculative_install = False
-    shadow_speculative_fills = True
+    speculative_miss = "shadow"
 
     total_cancelled = counter()
     total_cancel_stall = counter()

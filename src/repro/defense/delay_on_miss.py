@@ -19,10 +19,11 @@ Consequences reproduced here:
   is out of scope here (it needs an MSHR/execution-port contention model
   between SMT threads).
 
-Mechanically, the core consults :attr:`Defense.delay_speculative_misses`
-(defer misses issued under an unresolved branch) and
-:attr:`Defense.allows_speculative_install` (wrong-path fills never install).
-On squash there is nothing to roll back.
+Mechanically, the scheme's :attr:`Defense.speculative_miss` policy is
+``"delay"``: the core defers a miss issued under an unresolved branch until
+the branch resolves, so a committed-path miss waits and a wrong-path miss
+never issues (no fill, no port traffic). On squash there is nothing to roll
+back.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ class DelayOnMiss(Defense):
     """Invisible-family baseline: defer speculative L1 misses."""
 
     name = "DelayOnMiss"
-    allows_speculative_install = False
-    delay_speculative_misses = True
+    speculative_miss = "delay"
 
     def handle_squash(self, ctx: SquashContext) -> SquashOutcome:
         # Nothing was installed speculatively, so there is nothing to undo;

@@ -17,10 +17,10 @@ Security consequences reproduced here:
   bulk-invalidate off the critical path, so the post-squash stall is zero
   and, unlike CleanupSpec, *independent of the transient footprint*.
 
-Modelling notes: the core consults :attr:`Defense.shadow_speculative_fills`
-— wrong-path misses complete (value forwarded at the probed latency)
-without touching the real hierarchy, MSHR, or speculation tracker, and the
-squash context carries the window's shadow-fill counts. Correct-path
+Modelling notes: the scheme's :attr:`Defense.speculative_miss` policy is
+``"shadow"`` — wrong-path misses complete (value forwarded at the probed
+latency) without touching the real hierarchy, MSHR, or speculation tracker,
+and the squash context carries the window's shadow-fill counts. Correct-path
 speculation is charged nothing for the shadow-to-real movement at commit
 (the paper's leakage-free transfer happens in parallel with retirement),
 so the scheme's overhead in this model comes only from losing wrong-path
@@ -44,8 +44,7 @@ class SafeSpec(Defense):
     """Shadow-structure defense: transient fills never become visible."""
 
     name = "SafeSpec"
-    allows_speculative_install = False
-    shadow_speculative_fills = True
+    speculative_miss = "shadow"
 
     total_shadow_fills = counter()
     total_shadow_discards = counter()

@@ -11,7 +11,6 @@ output at any worker count.
 import pytest
 
 from repro.analysis.synth import (
-    GeneratorConfig,
     Holes,
     PipelineConfig,
     build_candidate,

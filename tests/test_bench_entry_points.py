@@ -28,7 +28,15 @@ def _load_tracing():
 
 
 _TRACING = _load_tracing()
-ENTRY_POINTS = [spec for specs in _TRACING.LAYERS.values() for spec in specs]
+_LISTED = [spec for specs in _TRACING.LAYERS.values() for spec in specs]
+
+#: Entries the benchmark still lists for methods that were merged into
+#: another traced entry point (``FuPool.acquire_div`` now takes the deadline
+#: its speculative twin took). The benchmark's next revision drops them
+#: (ROADMAP); until then each must really be gone from the source.
+RETIRED = ("repro.cpu.fu:FuPool.try_acquire_div",)
+
+ENTRY_POINTS = [spec for spec in _LISTED if spec not in RETIRED]
 ENTRY_POINTS.append(_TRACING.SimCensus.ENTRY)
 
 
@@ -44,3 +52,13 @@ def test_entry_point_exists(spec):
     owner = getattr(module, owner_name, None)
     assert inspect.isclass(owner), f"{spec}: no class {owner_name}"
     assert attr in vars(owner), f"{spec}: {owner_name} does not define {attr}"
+
+
+@pytest.mark.parametrize("spec", RETIRED)
+def test_retired_is_gone(spec):
+    # Once the benchmark stops listing it, drop it from RETIRED.
+    assert spec in _LISTED, f"{spec}: no longer listed; remove it from RETIRED"
+    module_name, _, qualname = spec.partition(":")
+    owner_name, _, attr = qualname.rpartition(".")
+    owner = getattr(importlib.import_module(module_name), owner_name)
+    assert attr not in vars(owner), f"{spec}: still defined; trace it instead"

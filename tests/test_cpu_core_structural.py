@@ -43,6 +43,37 @@ class TestDispatchWidth:
         assert wide >= narrow - 5  # the chain is the critical path
 
 
+class TestDispatchRecurrence:
+    """Exact dispatch cycles of the in-order, width-limited, ROB-bounded front end."""
+
+    def test_four_wide_dispatch_cycles(self):
+        b = ProgramBuilder("eight")
+        for i in range(8):
+            b.li(f"r{1 + i}", i)
+        b.halt()
+        h = CacheHierarchy(seed=0)
+        core = Core(h, UnsafeBaseline(h), config=CoreConfig(dispatch_width=4), record_timeline=True)
+        timeline = core.run(b.build()).timeline
+        assert [t.dispatch for t in timeline] == [0, 0, 0, 0, 1, 1, 1, 1]
+
+    def test_full_rob_stalls_dispatch(self):
+        # The slow first load fills one of four ROB entries until it
+        # commits; the fifth instruction needs that entry.
+        b = ProgramBuilder("rob-full")
+        b.load("r2", "r1", 0x8000)
+        for i in range(5):
+            b.li(f"r{3 + i}", i)
+        b.halt()
+        h = CacheHierarchy(seed=0)
+        core = Core(h, UnsafeBaseline(h), config=CoreConfig(rob_entries=4), record_timeline=True)
+        timeline = core.run(b.build()).timeline
+        first_commit = timeline[0].complete
+        assert timeline[0].level == "MEM"
+        assert [t.dispatch for t in timeline[:4]] == [0, 0, 0, 0]
+        # Not before the oldest instruction commits, and not later either.
+        assert timeline[4].dispatch == first_commit
+
+
 class TestRobPressure:
     def test_tiny_rob_slows_memory_shadowed_work(self):
         # A long-latency load followed by many independent ops: a tiny ROB

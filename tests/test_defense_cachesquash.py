@@ -82,8 +82,7 @@ class TestCancellationQuantization:
         assert caps.family == "cancel"
         assert set(caps.closes_channels) == {"flush", "rollback"}
         assert caps.shadowed_structures == ("MSHR",)
-        assert CacheSquash.shadow_speculative_fills is True
-        assert CacheSquash.allows_speculative_install is False
+        assert CacheSquash.speculative_miss == "shadow"
 
 
 @pytest.mark.parametrize("n_loads", sorted(GOLDEN_CACHESQUASH))

@@ -66,8 +66,7 @@ class TestSquashHandling:
         assert caps.family == "shadow"
         assert set(caps.closes_channels) == {"flush", "rollback"}
         assert caps.shadowed_structures == ("L1", "MSHR")
-        assert SafeSpec.shadow_speculative_fills is True
-        assert SafeSpec.allows_speculative_install is False
+        assert SafeSpec.speculative_miss == "shadow"
 
 
 @pytest.mark.parametrize("n_loads", sorted(GOLDEN_SAFESPEC))

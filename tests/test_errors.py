@@ -78,8 +78,12 @@ class TestErrorsSurfaceWhereExpected:
         b.jump("x")
         b.halt()
         h = CacheHierarchy(seed=0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError) as info:
             Core(h, UnsafeBaseline(h)).run(b.build(), max_instructions=50)
+        err = info.value
+        assert (err.program, err.pc) == ("spin", 0)
+        assert err.instruction == str(b.build()[0])
+        assert str(err).startswith("spin:0: exceeded 50 instructions")
 
     def test_attack_error_from_bad_params(self):
         from repro.attack import GadgetParams

@@ -9,30 +9,28 @@ interference) at their pinned deterministic deltas.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.attack import InterferenceHarness, RewindAttack
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.config import CacheGeometry, CoreConfig, SystemConfig
-from repro.cpu.core import Core
+from repro.cpu.core import NEVER, Core
 from repro.cpu.fu import FU_ALU, FU_DIV, FU_MUL, FuPool, OccupancyTimeline, fu_for_op
 from repro.cpu.noise import NoiseModel
-from repro.defense.base import make_defense
+from repro.defense.base import defense_keys, make_defense
 from repro.isa import ProgramBuilder
 
 
 class TestFuPool:
     def test_uncontended_div_starts_on_time(self):
         pool = FuPool()
-        assert pool.acquire_div(10, 40) == 10
+        assert pool.acquire_div(10, 40, NEVER) == 10
         assert pool.div_busy_until == 50
         assert pool.div_issues == 1
         assert pool.div_contended == 0
 
     def test_second_div_queues_behind_first(self):
         pool = FuPool()
-        pool.acquire_div(10, 40)
-        assert pool.acquire_div(20, 40) == 50
+        pool.acquire_div(10, 40, NEVER)
+        assert pool.acquire_div(20, 40, NEVER) == 50
         assert pool.div_busy_until == 90
         assert pool.div_contended == 1
 
@@ -40,19 +38,19 @@ class TestFuPool:
         # The SpectreRewind property: occupancy persists regardless of who
         # issued it — there is no "release" API at all.
         pool = FuPool()
-        pool.acquire_div(0, 40)  # transient issue
-        assert pool.acquire_div(35, 40) == 40  # committed, post-squash
+        pool.acquire_div(0, 40, deadline=30)  # transient, issued before its squash
+        assert pool.acquire_div(35, 40, NEVER) == 40  # committed, post-squash
 
     def test_try_acquire_issues_before_deadline(self):
         pool = FuPool()
-        assert pool.try_acquire_div(10, 40, deadline=11) == 10
+        assert pool.acquire_div(10, 40, deadline=11) == 10
         assert pool.div_busy_until == 50
 
     def test_try_acquire_killed_at_deadline(self):
         # Operands ready exactly at the squash point: the uop is still in
         # the reservation station and dies with it — no occupancy.
         pool = FuPool()
-        assert pool.try_acquire_div(50, 40, deadline=50) is None
+        assert pool.acquire_div(50, 40, deadline=50) is None
         assert pool.div_busy_until == 0
         assert pool.div_issues == 0
         assert pool.div_contended == 0
@@ -61,15 +59,15 @@ class TestFuPool:
         # Operands ready in time but the unit busy past the squash: the
         # division never reaches the divider, so it leaves no side effect.
         pool = FuPool()
-        pool.acquire_div(0, 40)
-        assert pool.try_acquire_div(10, 40, deadline=30) is None
+        pool.acquire_div(0, 40, NEVER)
+        assert pool.acquire_div(10, 40, deadline=30) is None
         assert pool.div_busy_until == 40
         assert pool.div_issues == 1
 
     def test_try_acquire_queued_but_still_in_time(self):
         pool = FuPool()
-        pool.acquire_div(0, 40)
-        assert pool.try_acquire_div(10, 40, deadline=60) == 40
+        pool.acquire_div(0, 40, NEVER)
+        assert pool.acquire_div(10, 40, deadline=60) == 40
         assert pool.div_busy_until == 80
         assert pool.div_contended == 1
 
@@ -133,13 +131,14 @@ def _tiny_mshr_hierarchy() -> CacheHierarchy:
 
 
 class TestDelayProbeMshrAlignment:
-    """The delay-on-miss committed-path probe must agree with access().
+    """The load step's predictions must agree with access().
 
-    The probe decides "is this an L1 miss under an unresolved branch" via
-    :meth:`~repro.cache.hierarchy.CacheHierarchy.predict_latency`, the
-    same MSHR-pressure-aware prediction the wrong path uses — not the
-    pressure-blind ``probe_latency`` — so the predicted cost tracks what
-    ``access`` actually charges when the one-entry MSHR file is full.
+    The wrong path's landed-vs-in-flight decision uses the MSHR-pressure-
+    aware :meth:`~repro.cache.hierarchy.CacheHierarchy.predict_latency`,
+    whose cost tracks what ``access`` charges when the one-entry MSHR file
+    is full. The delay-on-miss decision ("is this an L1 miss under an
+    unresolved branch") needs only the serving level, which the
+    pressure-blind ``probe_latency`` gets right.
     """
 
     def test_predict_matches_access_under_full_mshr(self):
@@ -179,20 +178,18 @@ def _mispredict_program(miss_addr: int):
 
 
 class TestWrongPathDrawParity:
-    """Every defense family burns the same per-round noise draws.
+    """Every registered defense burns the same per-round noise draws.
 
     The delay-on-miss wrong path never issues a MEM miss downstream, but
-    it must still consume the jitter draw the install/shadow families
+    it must still consume the jitter draw the install/shadow policies
     make for that access — otherwise the shared noise stream desyncs
-    across families and per-family results stop being comparable.
+    across defenses and per-defense results stop being comparable.
     """
-
-    FAMILIES = ("unsafe", "cleanupspec", "delay_on_miss", "safespec", "cachesquash")
 
     def test_noise_stream_position_is_family_invariant(self):
         program = _mispredict_program(0x4000)
         positions = {}
-        for key in self.FAMILIES:
+        for key in defense_keys():
             hierarchy = CacheHierarchy(seed=0)
             hierarchy.dram.poke(0x4000, 7)
             core = Core(

@@ -12,7 +12,7 @@ import json
 from repro.attack import GadgetParams, UnxpecAttack
 from repro.cache import CacheHierarchy
 from repro.cpu import Core
-from repro.defense import CleanupSpec, UnsafeBaseline
+from repro.defense import UnsafeBaseline
 from repro.isa import ProgramBuilder
 from repro.obs import Observability, get_default_obs, observe
 

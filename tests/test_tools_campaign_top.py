@@ -1,7 +1,5 @@
 """Tests for the campaign_top dashboard (driven without a TTY)."""
 
-import json
-
 from repro.campaign import CampaignRunner
 from repro.tools.campaign_top import build_state, main, render
 
