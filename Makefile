@@ -2,6 +2,9 @@
 
 PYTHON ?= python
 
+# A bare `make` runs the tests; `make install` is always explicit.
+.DEFAULT_GOAL := test
+
 # Every target runs the package from this checkout's src/ (no install
 # needed); a caller's PYTHONPATH is kept after it.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

@@ -107,7 +107,7 @@ def evicts(
         for _ in range(passes):
             for addr in candidates:
                 hierarchy.access(addr, cycle=0)
-        latency = hierarchy.access(target, cycle=0).latency
+        latency, _ = hierarchy.access(target, cycle=0)
         if latency > threshold:
             votes += 1
     return votes * 2 > trials

@@ -23,12 +23,22 @@ misses (installing ``P[64k]``) when it is 1.
 All invocations share one code path, so the bounds-check branch trains and
 mis-predicts at a single PC, exactly like a real sender function invoked
 repeatedly.
+
+The programs are pure functions of the gadget's frozen inputs (params,
+layout, register allocation, and for the unXpec setup the primed
+addresses), so they are built once per process and shared: two gadgets
+with the same inputs get the same :class:`~repro.isa.program.Program`
+object — and with it the decoded table :meth:`Program.decoded` caches.
+Programs are immutable, so sharing one across machines is safe. The victim
+memory image is built the same way, once per process, and
+:meth:`UnxpecGadget.init_memory` writes it in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from ..common.errors import AttackError
 from ..isa.builder import ProgramBuilder
@@ -87,21 +97,29 @@ class UnxpecGadget:
 
     def init_memory(self, dram: Dram, secret_bit: int = 0) -> None:
         """Write the victim/attacker data structures into memory."""
-        lay = self.layout
+        dram.poke_image(self._image_words(self.params, self.layout))
+        self.set_secret(dram, secret_bit)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _image_words(params: GadgetParams, lay: AttackLayout) -> Tuple[Tuple[int, int], ...]:
+        """The victim image with secret 0, as ``(word address, value)`` pairs."""
+        dram = Dram()
         # A[0] = 0: in-bounds training accesses resolve to P[0].
         dram.poke(lay.a_base, 0)
-        dram.poke(lay.secret_addr, secret_bit & 1)
+        dram.poke(lay.secret_addr, 0)
         # Index table: train_iters in-bounds entries, then the OOB index,
         # then a tail of in-bounds entries covering wrong-path overruns.
-        total = self.params.train_iters
+        total = params.train_iters
         for i in range(total):
             dram.poke(lay.table_entry(i), 0)
         dram.poke(lay.table_entry(total), lay.out_of_bounds_index)
         for i in range(total + 1, total + 64):
             dram.poke(lay.table_entry(i), 0)
         # f(N) pointer chase.
-        for i, word in enumerate(chain_pointers(lay, self.params.condition_accesses)):
+        for i, word in enumerate(chain_pointers(lay, params.condition_accesses)):
             dram.poke(lay.chain_entry(i), word)
+        return tuple(dram.image().items())
 
     def set_secret(self, dram: Dram, secret_bit: int) -> None:
         """The victim's secret changes between rounds; only it is rewritten."""
@@ -123,8 +141,19 @@ class UnxpecGadget:
     # ------------------------------------------------------------------
 
     def build_setup(self) -> Program:
-        """Warm every line the round code expects resident, prime eviction sets."""
-        lay, r = self.layout, self.regs
+        """Warm every line the round code expects resident, prime eviction sets.
+
+        Shared: gadgets with equal inputs get the same program object.
+        """
+        return self._setup_program(
+            self.params, self.layout, self.regs, tuple(self.prime_addresses)
+        )
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _setup_program(
+        params: GadgetParams, lay: AttackLayout, r: Regs, prime_addresses: Tuple[int, ...]
+    ) -> Program:
         b = ProgramBuilder("unxpec-setup")
         b.li(r.a_base, lay.a_base)
         b.li(r.p_base, lay.p_base)
@@ -137,7 +166,7 @@ class UnxpecGadget:
         b.load(r.scratch2, r.p_base, 0)
         # Warm the whole index table (one load per line) so wrong-path
         # overruns never install table lines.
-        table_words = self.params.train_iters + 64
+        table_words = params.train_iters + 64
         table_lines = (table_words * WORD_SIZE + 63) // 64
         for line in range(table_lines):
             b.load(r.scratch2, r.table, line * 64)
@@ -147,10 +176,10 @@ class UnxpecGadget:
         # evicting (and nothing would need restoring). Restoration puts the
         # primed lines back after every squash, so priming once suffices
         # (paper §VI-B).
-        if self.prime_addresses:
-            for k in range(1, self.params.n_loads + 1):
+        if prime_addresses:
+            for k in range(1, params.n_loads + 1):
                 b.flush(r.p_base, 64 * k)
-        for addr in self.prime_addresses:
+        for addr in prime_addresses:
             b.li(r.tmp, addr)
             b.load(r.tmp2, r.tmp, 0)
         b.fence()
@@ -162,6 +191,16 @@ class UnxpecGadget:
     # ------------------------------------------------------------------
 
     def build_round(self) -> Program:
+        """One attack round (see :meth:`_round_program`); sets
+        :attr:`bounds_branch_pc`. Shared like :meth:`build_setup`."""
+        program, self.bounds_branch_pc = self._round_program(
+            self.params, self.layout, self.regs
+        )
+        return program
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _round_program(p: GadgetParams, lay: AttackLayout, r: Regs) -> Tuple[Program, int]:
         """One attack round: train_iters sender calls, then the measured one.
 
         Every iteration executes the *same* sender code (same branch PC):
@@ -169,8 +208,8 @@ class UnxpecGadget:
         the P[64k] targets, fence, timestamp, run the bounds check and
         (transiently or not) the in-branch loads, timestamp. The final
         iteration's index is out of bounds; its ts2-ts1 is the sample.
+        Returns the program and its bounds-check branch PC.
         """
-        p, lay, r = self.params, self.layout, self.regs
         b = ProgramBuilder(
             f"unxpec-round[n={p.n_loads},N={p.condition_accesses},train={p.train_iters}]"
         )
@@ -202,7 +241,7 @@ class UnxpecGadget:
         for _ in range(p.condition_pad):
             b.addi(r.bound, r.bound, 0)
         # if index >= bound: skip the body (taken on the attack iteration).
-        self.bounds_branch_pc = b.here
+        branch_pc = b.here
         b.branch("ge", r.index, r.bound, "after_body")
         # -- sender body (transient on the attack iteration) --
         b.shli(r.scratch_addr, r.index, 3)
@@ -222,7 +261,7 @@ class UnxpecGadget:
         b.addi(r.i, r.i, 1)
         b.branch("lt", r.i, r.iters, "invoke")
         b.halt()
-        return b.build()
+        return b.build(), branch_pc
 
     # ------------------------------------------------------------------
     # convenience
@@ -323,13 +362,20 @@ class RewindGadget:
 
     def init_memory(self, dram: Dram, secret_bit: int = 0) -> None:
         """Write the victim/attacker data structures into memory."""
-        lay = self.layout
+        dram.poke_image(self._image_words(self.params, self.layout))
+        self.set_secret(dram, secret_bit)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _image_words(params: RewindParams, lay: AttackLayout) -> Tuple[Tuple[int, int], ...]:
+        """The victim image with secret 0, as ``(word address, value)`` pairs."""
+        dram = Dram()
         dram.poke(lay.a_base, 0)
-        dram.poke(lay.secret_addr, secret_bit & 1)
+        dram.poke(lay.secret_addr, 0)
         # P[0] = 0 so the dependent y address is P[secret*128] either way.
         dram.poke(lay.p_base, 0)
         dram.poke(lay.p_entry(1), 0)
-        total = self.params.train_iters
+        total = params.train_iters
         for i in range(total):
             dram.poke(lay.table_entry(i), 0)
         dram.poke(lay.table_entry(total), lay.out_of_bounds_index)
@@ -341,8 +387,9 @@ class RewindGadget:
         # tail out-of-bounds makes each overrun pass re-send the secret.
         for i in range(total + 1, total + 64):
             dram.poke(lay.table_entry(i), lay.out_of_bounds_index)
-        for i, word in enumerate(chain_pointers(lay, self.params.condition_accesses)):
+        for i, word in enumerate(chain_pointers(lay, params.condition_accesses)):
             dram.poke(lay.chain_entry(i), word)
+        return tuple(dram.image().items())
 
     def set_secret(self, dram: Dram, secret_bit: int) -> None:
         dram.poke(self.layout.secret_addr, secret_bit & 1)
@@ -353,8 +400,23 @@ class RewindGadget:
         return dram.image()
 
     def build_setup(self) -> Program:
-        """Warm A[0], the secret word, P[0] and the index table."""
-        lay, r = self.layout, self.regs
+        """Warm A[0], the secret word, P[0] and the index table.
+
+        Shared: gadgets with equal inputs get the same program object.
+        """
+        return self._setup_program(self.params, self.layout, self.regs)
+
+    def build_round(self) -> Program:
+        """One round (see :meth:`_round_program`); sets
+        :attr:`bounds_branch_pc`. Shared like :meth:`build_setup`."""
+        program, self.bounds_branch_pc = self._round_program(
+            self.params, self.layout, self.regs
+        )
+        return program
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _setup_program(params: RewindParams, lay: AttackLayout, r: Regs) -> Program:
         b = ProgramBuilder("rewind-setup")
         b.li(r.a_base, lay.a_base)
         b.li(r.p_base, lay.p_base)
@@ -363,7 +425,7 @@ class RewindGadget:
         b.li(r.tmp, lay.secret_addr)
         b.load(r.scratch2, r.tmp, 0)
         b.load(r.scratch2, r.p_base, 0)
-        table_words = self.params.train_iters + 64
+        table_words = params.train_iters + 64
         table_lines = (table_words * WORD_SIZE + 63) // 64
         for line in range(table_lines):
             b.load(r.scratch2, r.table, line * 64)
@@ -371,8 +433,12 @@ class RewindGadget:
         b.halt()
         return b.build()
 
-    def build_round(self) -> Program:
-        p, lay, r = self.params, self.layout, self.regs
+    @classmethod
+    @lru_cache(maxsize=None)
+    def _round_program(
+        cls, p: RewindParams, lay: AttackLayout, r: Regs
+    ) -> Tuple[Program, int]:
+        """The round program and its bounds-check branch PC."""
         b = ProgramBuilder(
             f"rewind-round[divs={p.div_chain},N={p.condition_accesses},"
             f"train={p.train_iters}]"
@@ -383,8 +449,8 @@ class RewindGadget:
         b.li(r.table, lay.table_base)
         b.li(r.iters, p.train_iters + 1)
         b.li(r.i, 0)
-        b.li(self.R_DIVIDEND, 1 << 20)
-        b.li(self.R_CDIV, 3)
+        b.li(cls.R_DIVIDEND, 1 << 20)
+        b.li(cls.R_CDIV, 3)
 
         b.label("invoke")
         # index = table[i]
@@ -405,31 +471,31 @@ class RewindGadget:
             b.load(r.bound, r.bound, 0)
         for _ in range(p.condition_pad):
             b.addi(r.bound, r.bound, 0)
-        self.bounds_branch_pc = b.here
+        branch_pc = b.here
         b.branch("ge", r.index, r.bound, "after_body")
         # -- transient sender body --
         b.shli(r.scratch_addr, r.index, 3)
         b.add(r.scratch_addr, r.a_base, r.scratch_addr)
         b.load(r.secret, r.scratch_addr, 0)  # secret = A[index]
         b.shli(r.secret_off, r.secret, 6)  # secret * 64
-        b.add(self.R_XADDR, r.p_base, r.secret_off)
-        b.load(self.R_X, self.R_XADDR, 0)  # x = P[secret*64]
-        b.shli(self.R_YADDR, r.secret, 7)  # secret * 128
-        b.add(self.R_YADDR, r.p_base, self.R_YADDR)
-        b.add(self.R_YADDR, self.R_YADDR, self.R_X)
-        b.load(self.R_DIVISOR, self.R_YADDR, 0)  # y = P[secret*128 + x]
-        b.opi("or", self.R_DIVISOR, self.R_DIVISOR, 1)  # divisor != 0
+        b.add(cls.R_XADDR, r.p_base, r.secret_off)
+        b.load(cls.R_X, cls.R_XADDR, 0)  # x = P[secret*64]
+        b.shli(cls.R_YADDR, r.secret, 7)  # secret * 128
+        b.add(cls.R_YADDR, r.p_base, cls.R_YADDR)
+        b.add(cls.R_YADDR, cls.R_YADDR, cls.R_X)
+        b.load(cls.R_DIVISOR, cls.R_YADDR, 0)  # y = P[secret*128 + x]
+        b.opi("or", cls.R_DIVISOR, cls.R_DIVISOR, 1)  # divisor != 0
         for k in range(1, p.div_chain + 1):
             # Independent divisions (shared sources, distinct dests):
             # serialised by divider occupancy, not dataflow, so they race
             # the squash point one issue slot at a time.
-            b.div(r.transient_dst(k), self.R_DIVIDEND, self.R_DIVISOR)
+            b.div(r.transient_dst(k), cls.R_DIVIDEND, cls.R_DIVISOR)
         b.label("after_body")
         # -- committed receiver: time one post-squash division. Dividing
         # ts1 (not a constant) keeps the wrong-path overrun from issuing
         # this division transiently: ts1 never readies on the wrong path.
         b.rdtscp(r.ts1)
-        b.div(r.scratch2, r.ts1, self.R_CDIV)
+        b.div(r.scratch2, r.ts1, cls.R_CDIV)
         b.rdtscp(r.ts2)
         # Drain epilogue: a load data-dependent on the measured division.
         # The next invocation's fence only orders *memory* operations, so
@@ -441,7 +507,7 @@ class RewindGadget:
         b.addi(r.i, r.i, 1)
         b.branch("lt", r.i, r.iters, "invoke")
         b.halt()
-        return b.build()
+        return b.build(), branch_pc
 
     @property
     def ts_regs(self) -> tuple:

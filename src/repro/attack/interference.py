@@ -31,12 +31,16 @@ Mistraining happens *across* runs: the victim's branch predictor persists
 between :meth:`InterferenceHarness.sample` calls, so each sample re-trains
 with in-bounds indices before the out-of-bounds measured run — the same
 one-branch-PC discipline as the in-loop gadgets.
+
+The victim and probe programs are built once per process and shared by
+every harness with equal params, layout and registers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import SystemConfig
@@ -50,6 +54,11 @@ from .layout import DEFAULT_LAYOUT, DEFAULT_REGS, AttackLayout, Regs, chain_poin
 
 #: Stride between the attacker's probe-chase lines (distinct sets/pages).
 _PROBE_STRIDE = 4096
+
+
+def _probe_entry(layout: AttackLayout, k: int) -> int:
+    """Address of the attacker's k-th probe-chase line."""
+    return layout.eviction_pool_base + k * _PROBE_STRIDE
 
 
 @dataclass(frozen=True)
@@ -141,9 +150,13 @@ class InterferenceHarness:
         self._prepared = False
 
     # -- program builders ------------------------------------------------
+    #
+    # Each program is a pure function of the harness's frozen inputs, built
+    # once per process: harnesses with equal inputs share program objects.
 
-    def _build_victim_setup(self) -> Program:
-        lay, r = self.layout, self.regs
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _build_victim_setup(lay: AttackLayout, r: Regs) -> Program:
         b = ProgramBuilder("interference-victim-setup")
         b.li(r.a_base, lay.a_base)
         b.li(r.p_base, lay.p_base)
@@ -157,11 +170,13 @@ class InterferenceHarness:
         b.halt()
         return b.build()
 
-    def _build_victim_round(self) -> Program:
-        p, lay, r = self.params, self.layout, self.regs
-        b = ProgramBuilder(
-            f"interference-victim[loads={p.n_loads},delay={p.delay_chain}]"
-        )
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _build_victim_round(
+        p: InterferenceParams, lay: AttackLayout, r: Regs
+    ) -> Tuple[Program, int]:
+        """The victim round and its bounds-check branch PC."""
+        b = ProgramBuilder(f"interference-victim[loads={p.n_loads},delay={p.delay_chain}]")
         b.li(r.a_base, lay.a_base)
         b.li(r.p_base, lay.p_base)
         b.li(r.chain, lay.chain_base)
@@ -178,7 +193,7 @@ class InterferenceHarness:
             b.load(r.bound, r.bound, 0)
         for _ in range(p.condition_pad):
             b.addi(r.bound, r.bound, 0)
-        self.bounds_branch_pc = b.here
+        branch_pc = b.here
         b.branch("ge", r.index, r.bound, "skip")
         # -- transient sender body --
         b.shli(r.scratch_addr, r.index, 3)
@@ -198,21 +213,19 @@ class InterferenceHarness:
             b.load(r.transient_dst(k), r.scratch_addr, 0)
         b.label("skip")
         b.halt()
-        return b.build()
+        return b.build(), branch_pc
 
-    def _probe_entry(self, k: int) -> int:
-        return self.layout.eviction_pool_base + k * _PROBE_STRIDE
-
-    def _build_probe(self) -> Program:
-        p, r = self.params, self.regs
-        b = ProgramBuilder(f"interference-probe[loads={p.probe_loads}]")
-        for k in range(p.probe_loads):
-            b.li(r.tmp, self._probe_entry(k))
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _build_probe(probe_loads: int, lay: AttackLayout, r: Regs) -> Program:
+        b = ProgramBuilder(f"interference-probe[loads={probe_loads}]")
+        for k in range(probe_loads):
+            b.li(r.tmp, _probe_entry(lay, k))
             b.flush(r.tmp, 0)
         b.fence()
-        b.li(r.scratch_addr, self._probe_entry(0))
+        b.li(r.scratch_addr, _probe_entry(lay, 0))
         b.rdtscp(r.ts1)
-        for _ in range(p.probe_loads):
+        for _ in range(probe_loads):
             # Dependent chase: each miss arrives at the shared port only
             # after the previous one was serviced, sweeping the recording.
             b.load(r.scratch_addr, r.scratch_addr, 0)
@@ -237,11 +250,11 @@ class InterferenceHarness:
             vdram.poke(lay.chain_entry(i), word)
         adram = self.attacker_hierarchy.dram
         for k in range(p.probe_loads):
-            nxt = self._probe_entry(k + 1) if k + 1 < p.probe_loads else 0
-            adram.poke(self._probe_entry(k), nxt)
-        self.victim.run(self._build_victim_setup())
-        self._victim_round = self._build_victim_round()
-        self._probe = self._build_probe()
+            nxt = _probe_entry(lay, k + 1) if k + 1 < p.probe_loads else 0
+            adram.poke(_probe_entry(lay, k), nxt)
+        self.victim.run(self._build_victim_setup(lay, self.regs))
+        self._victim_round, self.bounds_branch_pc = self._build_victim_round(p, lay, self.regs)
+        self._probe = self._build_probe(p.probe_loads, lay, self.regs)
         self._prepared = True
 
     def sample(self, secret_bit: int) -> InterferenceSample:
@@ -290,3 +303,4 @@ class InterferenceHarness:
                 "cross-run mistraining failed"
             )
         return events[-1].outcome.stall_cycles
+

@@ -15,6 +15,9 @@ Because the channel is execution-resource occupancy, rolling the cache
 back perfectly (CleanupSpec), shadowing speculative fills (SafeSpec) or
 cancelling in-flight requests (CacheSquash) does not close it — see
 ``docs/channels.md`` and the ``ext_rewind`` experiment.
+
+As with :class:`~repro.attack.unxpec.UnxpecAttack`, the gadget's programs
+are built once per process and shared by every attack with equal params.
 """
 
 from __future__ import annotations

@@ -9,13 +9,17 @@ experiment pairs the two to make that contrast explicit.
 
 Structure mirrors :class:`~repro.attack.gadgets.UnxpecGadget`: a training
 loop over one shared sender, a final out-of-bounds invocation, then a probe
-phase timing each ``P[64*j]``.
+phase timing each ``P[64*j]``. The round program is built once per process
+and shared by every attack with the same alphabet, training count, layout
+and registers; a machine writes the victim image on its first round and
+then only the secret word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
 from ..common.config import SystemConfig
@@ -25,6 +29,7 @@ from ..defense.base import Defense
 from ..defense.unsafe import UnsafeBaseline
 from ..isa.builder import ProgramBuilder
 from ..isa.program import Program
+from ..memory.dram import Dram
 from .layout import DEFAULT_LAYOUT, DEFAULT_REGS, AttackLayout, Regs, chain_pointers
 from .unxpec import DefenseFactory
 
@@ -83,6 +88,8 @@ class SpectreV1Attack:
             self.hierarchy, self.defense, config=self.hierarchy.config.core
         )
         self._round: Optional[Program] = None
+        #: Whether this machine's DRAM holds the victim image yet.
+        self._image_written = False
 
     # ------------------------------------------------------------------
 
@@ -92,45 +99,69 @@ class SpectreV1Attack:
         Same contents :meth:`_init_memory` pokes into the simulator's
         DRAM; used by the static analysis to replay witnesses concretely.
         """
-        from ..memory.dram import Dram
-
         dram = Dram()
         self._write_memory(dram, secret_value)
         return dram.image()
 
     def _init_memory(self, secret_value: int) -> None:
-        self._write_memory(self.hierarchy.dram, secret_value)
+        """Plant ``secret_value``: the whole image on this machine's first
+        round, then only the secret word — the round stores nothing, so
+        every other word still holds what the first round wrote."""
+        dram = self.hierarchy.dram
+        if self._image_written:
+            dram.poke(self.layout.secret_addr, secret_value % self.alphabet)
+        else:
+            self._write_memory(dram, secret_value)
+            self._image_written = True
 
     def _write_memory(self, dram, secret_value: int) -> None:
-        lay = self.layout
+        dram.poke_image(self._image_words(self.alphabet, self.train_iters, self.layout))
+        dram.poke(self.layout.secret_addr, secret_value % self.alphabet)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _image_words(
+        alphabet: int, train_iters: int, lay: AttackLayout
+    ) -> Tuple[Tuple[int, int], ...]:
+        """The victim image with secret 0, as ``(word address, value)`` pairs."""
+        dram = Dram()
         dram.poke(lay.a_base, 0)  # training value -> P[0]
         # Wrong-path overrun sentinel: A[1] maps past the probed alphabet.
-        dram.poke(lay.a_base + 8 * _SENTINEL_INDEX, self.alphabet)
-        dram.poke(lay.secret_addr, secret_value % self.alphabet)
-        for i in range(self.train_iters):
+        dram.poke(lay.a_base + 8 * _SENTINEL_INDEX, alphabet)
+        dram.poke(lay.secret_addr, 0)
+        for i in range(train_iters):
             dram.poke(lay.table_entry(i), 0)
-        dram.poke(lay.table_entry(self.train_iters), lay.out_of_bounds_index)
-        for i in range(self.train_iters + 1, self.train_iters + 64):
+        dram.poke(lay.table_entry(train_iters), lay.out_of_bounds_index)
+        for i in range(train_iters + 1, train_iters + 64):
             dram.poke(lay.table_entry(i), _SENTINEL_INDEX)
         for i, word in enumerate(chain_pointers(lay, 1)):
             dram.poke(lay.chain_entry(i), word)
+        return tuple(dram.image().items())
 
     def build_round(self) -> Program:
-        """The round program (public so the static analyzer can lint it)."""
-        lay, r = self.layout, self.regs
-        b = ProgramBuilder(f"spectre-v1[alphabet={self.alphabet}]")
+        """The round program (public so the static analyzer can lint it).
+
+        Shared: attacks with equal alphabet, training count, layout and
+        registers get the same program object.
+        """
+        return self._round_program(self.alphabet, self.train_iters, self.layout, self.regs)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _round_program(alphabet: int, train_iters: int, lay: AttackLayout, r: Regs) -> Program:
+        b = ProgramBuilder(f"spectre-v1[alphabet={alphabet}]")
         b.li(r.a_base, lay.a_base)
         b.li(r.p_base, lay.p_base)
         b.li(r.chain, lay.chain_base)
         b.li(r.table, lay.table_base)
-        b.li(r.iters, self.train_iters + 1)
+        b.li(r.iters, train_iters + 1)
         b.li(r.i, 0)
         b.label("invoke")
         b.shli(r.scratch_addr, r.i, 3)
         b.add(r.scratch_addr, r.table, r.scratch_addr)
         b.load(r.index, r.scratch_addr, 0)
         # FLUSH(): evict the whole probe array and the bound (Alg. 1 l. 19).
-        for j in range(self.alphabet):
+        for j in range(alphabet):
             b.flush(r.p_base, 64 * j)
         b.li(r.tmp, lay.chain_entry(0))
         b.flush(r.tmp, 0)
@@ -202,8 +233,6 @@ class SpectreV1Attack:
         threshold = (lat.l2_total + lat.memory_total) // 2
         readings = []
         for j in range(self.alphabet):
-            access = self.hierarchy.access(self.layout.p_entry(j), cycle=0)
-            readings.append(
-                ProbeReading(value=j, latency=access.latency, cached=access.latency < threshold)
-            )
+            latency, _ = self.hierarchy.access(self.layout.p_entry(j), cycle=0)
+            readings.append(ProbeReading(value=j, latency=latency, cached=latency < threshold))
         return readings

@@ -13,6 +13,10 @@ core) to an Algorithm-2 gadget and drives the two stages of Figure 4:
 
 The same object is reused across thousands of rounds; the hierarchy,
 predictor and defense state persist exactly as they would on real hardware.
+The programs are not per-machine state: the gadget builds them once per
+process, so every attack with the same parameters (a matrix builds one per
+trial pair) runs the same :class:`~repro.isa.program.Program` objects,
+decoded once.
 """
 
 from __future__ import annotations

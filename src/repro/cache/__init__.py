@@ -1,7 +1,7 @@
 """Cache substrate: lines, policies, set-associative levels, hierarchy."""
 
 from .coherence import CoherenceGuard, CoherenceGuardStats, DowngradeRequest
-from .hierarchy import AccessResult, CacheHierarchy
+from .hierarchy import CacheHierarchy
 from .line import CacheLine, CoherenceState
 from .randomized import RandomizedIndexing
 from .replacement import (
@@ -37,5 +37,4 @@ __all__ = [
     "SpecInstall",
     "SpecEviction",
     "CacheHierarchy",
-    "AccessResult",
 ]

@@ -19,7 +19,8 @@ holds no clock.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import lru_cache, partial
+from typing import Optional
 
 from ..common.config import LatencyConfig, SystemConfig
 from ..common.errors import ConfigError
@@ -34,55 +35,19 @@ from .setassoc import Eviction, SetAssociativeCache
 from .spec_tracker import EpochDelta, SpecEviction, SpeculationTracker
 
 
-class AccessResult:
-    """Outcome of one data access.
+#: The configuration of a hierarchy built without one. It is frozen, so
+#: every such machine shares it instead of rebuilding it.
+_DEFAULT_CONFIG = SystemConfig()
 
-    A ``__slots__`` class rather than a (frozen) dataclass: one is built per
-    :meth:`CacheHierarchy.access`, which is the single most-called API of a
-    campaign, and frozen-dataclass construction costs an ``object.__setattr__``
-    per field.
+
+@lru_cache(maxsize=None)
+def ceaser_key(seed: int) -> int:
+    """The L2 index-permutation key of a machine seeded ``seed``.
+
+    A pure function of the seed, memoized per process: a matrix pass builds
+    thousands of machines from a few hundred seeds.
     """
-
-    __slots__ = (
-        "addr",
-        "latency",
-        "level",
-        "is_write",
-        "speculative",
-        "installed",
-        "l1_victim",
-    )
-
-    def __init__(
-        self,
-        addr: int,
-        latency: int,
-        level: str,  # "L1", "L2", or "MEM" — where the access was served
-        is_write: bool,
-        speculative: bool,
-        installed: tuple = (),
-        l1_victim: Optional[int] = None,
-    ) -> None:
-        self.addr = addr
-        self.latency = latency
-        self.level = level
-        self.is_write = is_write
-        self.speculative = speculative
-        #: Levels at which the access installed a new line ("L1"/"L2").
-        self.installed = installed
-        #: L1 victim line address if the install evicted one, else None.
-        self.l1_victim = l1_victim
-
-    @property
-    def l1_hit(self) -> bool:
-        return self.level == "L1"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<AccessResult {self.addr:#x} {self.level} lat={self.latency}"
-            f"{' write' if self.is_write else ''}"
-            f"{' spec' if self.speculative else ''}>"
-        )
+    return int(derive_rng(seed, "ceaser-key").integers(1 << 62))
 
 
 class CacheHierarchy:
@@ -98,20 +63,19 @@ class CacheHierarchy:
         nomo_threads: int = 2,
         obs: Optional[Observability] = None,
     ) -> None:
-        self.config = config or SystemConfig()
+        self.config = config or _DEFAULT_CONFIG
         self.latency: LatencyConfig = self.config.latency
         self.seed = seed
 
+        # Replacement streams are built on their first eviction: most
+        # machines of a short trial never evict, so they never draw.
         if l1_policy is None:
-            base = RandomReplacement(derive_rng(seed, "l1-replacement"))
+            base = RandomReplacement(partial(derive_rng, seed, "l1-replacement"))
             l1_policy = NoMoPartition(base, threads=nomo_threads) if nomo_threads > 1 else base
         if l2_policy is None:
-            l2_policy = RandomReplacement(derive_rng(seed, "l2-replacement"))
+            l2_policy = RandomReplacement(partial(derive_rng, seed, "l2-replacement"))
 
-        randomizer = None
-        if randomize_l2:
-            key = int(derive_rng(seed, "ceaser-key").integers(1 << 62))
-            randomizer = RandomizedIndexing(key=key)
+        randomizer = RandomizedIndexing(key=ceaser_key(seed)) if randomize_l2 else None
 
         self.l1 = SetAssociativeCache(self.config.l1d, l1_policy)
         self.l2 = SetAssociativeCache(self.config.l2, l2_policy, randomizer=randomizer)
@@ -160,9 +124,11 @@ class CacheHierarchy:
         speculative: bool = False,
         epoch: Optional[int] = None,
         thread: int = 0,
-    ) -> AccessResult:
-        """Perform one data access; mutate state; return timing and outcome.
+    ) -> "tuple[int, str]":
+        """Perform one data access; mutate state; return ``(latency, level)``.
 
+        ``level`` is where the access was served: "L1", "L2" or "MEM" — the
+        same shape as :meth:`probe_latency` and :meth:`predict_latency`.
         ``speculative`` accesses stamp installed lines with ``epoch`` and
         record installs/evictions with the tracker so a later squash can
         roll them back.
@@ -180,17 +146,10 @@ class CacheHierarchy:
                 line1.write(cycle)
             if trace is not None:
                 trace.emit(cycle, "cache.hit", (self.l1.line_addr_of(addr), "L1"))
-            return AccessResult(
-                addr=addr,
-                latency=self.latency.l1_hit,
-                level="L1",
-                is_write=is_write,
-                speculative=speculative,
-            )
+            return self.latency.l1_hit, "L1"
 
         line_addr = self.l1.line_addr_of(addr)
         line2 = self.l2.lookup(addr, cycle)
-        installed: List[str] = []
         if line2 is not None:
             latency = self.latency.l2_total
             level = "L2"
@@ -202,12 +161,10 @@ class CacheHierarchy:
             if trace is not None:
                 trace.emit(cycle, "cache.miss", (self.l2.line_addr_of(addr), "MEM"))
             self.dram.read_word(self.l2.line_addr_of(addr))
-            ev2 = self._install_l2(addr, cycle, speculative, epoch, thread)
-            installed.append("L2")
-            del ev2  # L2 evictions recorded inside _install_l2
+            # L2 evictions are recorded inside _install_l2.
+            self._install_l2(addr, cycle, speculative, epoch, thread)
 
         l1_victim = self._install_l1(addr, cycle, is_write, speculative, epoch, thread)
-        installed.insert(0, "L1")
 
         if mshr.can_allocate(line_addr):
             mshr.allocate(
@@ -224,16 +181,7 @@ class CacheHierarchy:
             latency += self.latency.mshr_full_penalty
         # A write needs no further step: the L1 install above was made with
         # ``dirty=is_write``, which leaves the line written at ``cycle``.
-
-        return AccessResult(
-            addr=addr,
-            latency=latency,
-            level=level,
-            is_write=is_write,
-            speculative=speculative,
-            installed=tuple(installed),
-            l1_victim=l1_victim.line_addr if l1_victim else None,
-        )
+        return latency, level
 
     def probe_latency(self, addr: int) -> "tuple[int, str]":
         """Latency and serving level an access *would* see, without side

@@ -18,7 +18,7 @@ policy).
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence
+from typing import Callable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -44,10 +44,18 @@ class ReplacementPolicy(Protocol):
 
 
 class RandomReplacement:
-    """Uniformly random victim choice (CleanupSpec's protected-L1 policy)."""
+    """Uniformly random victim choice (CleanupSpec's protected-L1 policy).
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
+    ``rng_factory`` builds the policy's generator, once, at the first
+    victim choice: a machine that never evicts never pays for its stream.
+    Pass a :func:`functools.partial` (e.g. of
+    :func:`~repro.common.rng.derive_rng`) so the policy stays deep-copyable.
+    """
+
+    def __init__(self, rng_factory: Callable[[], np.random.Generator]) -> None:
+        self._rng_factory = rng_factory
+        #: The generator; None until the first :meth:`choose_victim`.
+        self._rng: Optional[np.random.Generator] = None
 
     def choose_victim(
         self,
@@ -57,7 +65,10 @@ class RandomReplacement:
     ) -> int:
         if not candidates:
             raise ValueError("no candidate ways to evict")
-        return int(candidates[self._rng.integers(len(candidates))])
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self._rng_factory()
+        return int(candidates[rng.integers(len(candidates))])
 
     def allowed_ways(self, thread: int, ways: int) -> List[int]:
         return list(range(ways))

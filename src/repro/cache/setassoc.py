@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..common.config import CacheGeometry
-from ..memory.address import AddressMapper
 from .line import CacheLine, CoherenceState
 from .randomized import RandomizedIndexing
 from .replacement import ReplacementPolicy
@@ -86,7 +85,6 @@ class SetAssociativeCache:
         randomizer: Optional[RandomizedIndexing] = None,
     ) -> None:
         self.geometry = geometry
-        self.mapper = AddressMapper(geometry)
         self.policy = policy
         self.randomizer = randomizer
         #: Way lists, one per set; ``None`` until the set's first install.

@@ -38,6 +38,8 @@ class LocatedError(ReproError):
         pc: "int | None" = None,
         instruction: "str | None" = None,
     ) -> None:
+        #: The message without its location prefix and instruction suffix.
+        self.reason = message
         self.program = program
         self.pc = pc
         self.instruction = instruction

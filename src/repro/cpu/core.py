@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional
 
 import numpy as np
@@ -131,7 +132,10 @@ class Core:
         if squash_delay < 0:
             raise SimulationError("squash_delay must be non-negative")
         self.squash_delay = squash_delay
-        self._noise_rng: np.random.Generator = derive_rng(noise_seed, "core-noise")
+        #: The ``core-noise`` stream: built by the first run whose noise
+        #: model is enabled (a noise-free machine never draws from it).
+        self._noise_rng_factory = partial(derive_rng, noise_seed, "core-noise")
+        self._noise_rng: Optional[np.random.Generator] = None
         self.record_timeline = record_timeline
         #: Two-context interference hooks (repro.cpu.fu.OccupancyTimeline).
         #: ``port_timeline`` — this core *records* the busy intervals its
@@ -224,6 +228,8 @@ class Core:
         noise_enabled = self.noise.enabled
         noise_event = self.noise.system_event
         noise_rng = self._noise_rng
+        if noise_enabled and noise_rng is None:
+            noise_rng = self._noise_rng = self._noise_rng_factory()
         predictor = self.predictor
         alu_latency = cfg.alu_latency
         mul_latency = cfg.mul_latency
@@ -420,10 +426,9 @@ class Core:
                 if fence_barrier > start:
                     start = fence_barrier
                 addr = (raw_get(base, 0) + ins[3]) & addr_mask
-                access = hierarchy.access(addr, cycle=start, is_write=True)
+                latency, level = hierarchy.access(addr, cycle=start, is_write=True)
                 hierarchy.dram.poke(addr, raw_get(src, 0))
-                complete = start + access.latency
-                level = access.level
+                complete = start + latency
                 if complete > mem_max_complete:
                     mem_max_complete = complete
 
@@ -545,9 +550,7 @@ class Core:
             # delay-on-miss an L1 miss first waits for older branches.
             if policy == "delay" and start < resolved and hierarchy.probe_latency(addr)[1] != "L1":
                 start = resolved
-            access = hierarchy.access(addr, cycle=start)
-            latency = access.latency
-            level = access.level
+            latency, level = hierarchy.access(addr, cycle=start)
         elif policy == "install":
             # MSHR-pressure-aware and side-effect-free, so the landed-vs-
             # in-flight decision below agrees with what access() charges.
@@ -584,9 +587,8 @@ class Core:
             return start, NEVER, level
         # Lands before the squash: installs under ``epoch`` for rollback.
         # The completion is re-derived from the actual access cost.
-        access = hierarchy.access(addr, cycle=start, speculative=True, epoch=epoch)
-        latency = access.latency
-        if access.level == "MEM":
+        latency, served = hierarchy.access(addr, cycle=start, speculative=True, epoch=epoch)
+        if served == "MEM":
             latency = max(1, latency + jitter)
         return start, start + latency, level
 

@@ -24,9 +24,9 @@ Syntax, one instruction per line (``#`` starts a comment)::
 from __future__ import annotations
 
 import re
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from ..common.errors import AssemblerError
+from ..common.errors import AssemblerError, IsaError
 from .instructions import (
     Branch,
     Fence,
@@ -49,19 +49,22 @@ _ALU_OPS = ("add", "sub", "mul", "div", "and", "or", "xor", "shl", "shr")
 _BRANCH_CONDS = ("lt", "le", "gt", "ge", "eq", "ne")
 
 
-def _parse_int(token: str, line_no: int) -> int:
+def _parse_int(token: str) -> int:
     try:
         return int(token, 0)
     except ValueError as exc:
-        raise AssemblerError(f"line {line_no}: invalid integer {token!r}") from exc
+        raise AssemblerError(f"invalid integer {token!r}") from exc
 
 
-def _parse_mem(token: str, line_no: int) -> tuple:
+def _parse_mem(token: str) -> tuple:
     """Parse ``offset(base)`` into ``(base, offset)``."""
     m = _MEM_RE.match(token)
     if not m:
-        raise AssemblerError(f"line {line_no}: expected offset(reg), got {token!r}")
-    return m.group(2), int(m.group(1))
+        raise AssemblerError(f"expected offset(reg), got {token!r}")
+    try:
+        return m.group(2), int(m.group(1))
+    except ValueError as exc:  # e.g. more digits than int() converts
+        raise AssemblerError(f"invalid offset in {token!r}") from exc
 
 
 def _split_operands(rest: str) -> List[str]:
@@ -69,66 +72,87 @@ def _split_operands(rest: str) -> List[str]:
 
 
 def assemble(text: str, name: str = "asm") -> Program:
-    """Assemble ``text`` into a :class:`Program`."""
+    """Assemble ``text`` into a :class:`Program`.
+
+    Every failure raises :class:`AssemblerError` with ``program=name``,
+    the source line number in the message and the source text as
+    ``instruction``; a structural error found by :class:`Program` keeps
+    its ``pc``.
+    """
     instructions: List[Instruction] = []
     labels: Dict[str, int] = {}
+    #: ``(line number, source text)`` of each instruction, by pc.
+    sources: List[Tuple[int, str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        while line.endswith(":") or ":" in line.split()[0]:
-            label, _, remainder = line.partition(":")
-            label = label.strip()
-            if not label or not re.match(r"^[A-Za-z_][\w.]*$", label):
-                raise AssemblerError(f"line {line_no}: bad label {label!r}")
-            if label in labels:
-                raise AssemblerError(f"line {line_no}: duplicate label {label!r}")
-            labels[label] = len(instructions)
-            line = remainder.strip()
-            if not line:
-                break
-        if not line:
-            continue
-
-        mnemonic, _, rest = line.partition(" ")
-        mnemonic = mnemonic.lower()
-        ops = _split_operands(rest)
-        instructions.append(_parse_instruction(mnemonic, ops, line_no))
+        try:
+            line = _take_labels(line, labels, len(instructions))
+            if line:
+                mnemonic, _, rest = line.partition(" ")
+                instructions.append(
+                    _parse_instruction(mnemonic.lower(), _split_operands(rest))
+                )
+                sources.append((line_no, raw.strip()))
+        except IsaError as exc:
+            raise AssemblerError(
+                f"line {line_no}: {exc.reason}", program=name, instruction=raw.strip()
+            ) from exc
 
     try:
         return Program(instructions, labels, name=name)
-    except Exception as exc:  # re-raise structural errors as assembler errors
-        raise AssemblerError(str(exc)) from exc
+    except IsaError as exc:
+        if exc.pc is None:
+            raise AssemblerError(exc.reason, program=name) from exc
+        line_no, source = sources[exc.pc]
+        raise AssemblerError(
+            f"line {line_no}: {exc.reason}", program=name, pc=exc.pc, instruction=source
+        ) from exc
 
 
-def _parse_instruction(mnemonic: str, ops: List[str], line_no: int) -> Instruction:
+def _take_labels(line: str, labels: Dict[str, int], pc: int) -> str:
+    """Bind the labels heading ``line`` to ``pc``; return the rest of it."""
+    while line.endswith(":") or ":" in line.split()[0]:
+        label, _, remainder = line.partition(":")
+        label = label.strip()
+        if not label or not re.match(r"^[A-Za-z_][\w.]*$", label):
+            raise AssemblerError(f"bad label {label!r}")
+        if label in labels:
+            raise AssemblerError(f"duplicate label {label!r}")
+        labels[label] = pc
+        line = remainder.strip()
+        if not line:
+            break
+    return line
+
+
+def _parse_instruction(mnemonic: str, ops: List[str]) -> Instruction:
     def need(n: int) -> None:
         if len(ops) != n:
-            raise AssemblerError(
-                f"line {line_no}: {mnemonic} expects {n} operand(s), got {len(ops)}"
-            )
+            raise AssemblerError(f"{mnemonic} expects {n} operand(s), got {len(ops)}")
 
     if mnemonic == "li":
         need(2)
-        return LoadImm(ops[0], _parse_int(ops[1], line_no))
+        return LoadImm(ops[0], _parse_int(ops[1]))
     if mnemonic in _ALU_OPS:
         need(3)
         return IntOp(mnemonic, ops[0], ops[1], ops[2])
     if mnemonic.endswith("i") and mnemonic[:-1] in _ALU_OPS:
         need(3)
-        return IntOpImm(mnemonic[:-1], ops[0], ops[1], _parse_int(ops[2], line_no))
+        return IntOpImm(mnemonic[:-1], ops[0], ops[1], _parse_int(ops[2]))
     if mnemonic == "ld":
         need(2)
-        base, offset = _parse_mem(ops[1], line_no)
+        base, offset = _parse_mem(ops[1])
         return Load(ops[0], base, offset)
     if mnemonic == "st":
         need(2)
-        base, offset = _parse_mem(ops[1], line_no)
+        base, offset = _parse_mem(ops[1])
         return Store(ops[0], base, offset)
     if mnemonic == "clflush":
         need(1)
-        base, offset = _parse_mem(ops[0], line_no)
+        base, offset = _parse_mem(ops[0])
         return Flush(base, offset)
     if mnemonic == "mfence":
         need(0)
@@ -148,7 +172,7 @@ def _parse_instruction(mnemonic: str, ops: List[str], line_no: int) -> Instructi
     if mnemonic == "halt":
         need(0)
         return Halt()
-    raise AssemblerError(f"line {line_no}: unknown mnemonic {mnemonic!r}")
+    raise AssemblerError(f"unknown mnemonic {mnemonic!r}")
 
 
 def disassemble(program: Program) -> str:

@@ -9,6 +9,7 @@ traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Tuple
 
 from ..common.errors import MemoryError_
 
@@ -115,3 +116,8 @@ class Dram:
         word = addr // WORD_SIZE * WORD_SIZE
         value &= (1 << 64) - 1
         self._words[word] = value
+
+    def poke_image(self, words: Iterable[Tuple[int, int]]) -> None:
+        """:meth:`poke` every ``(word address, value)`` pair of an
+        :meth:`image` in one step (for experiment setup)."""
+        self._words.update(words)

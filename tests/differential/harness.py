@@ -136,6 +136,13 @@ def _rng_state_key(rng) -> tuple:
     )
 
 
+def _policy_rng(policy):
+    """The policy's generator; a fresh one at the stream's start if the
+    policy has not drawn yet (it builds its generator on first use)."""
+    rng = policy._rng
+    return policy._rng_factory() if rng is None else rng
+
+
 def _rng_policies(hierarchy: CacheHierarchy) -> tuple:
     """Replacement policies that hold an RNG (walking NoMo wrappers)."""
     out = []
@@ -194,7 +201,7 @@ def machine_fingerprint(core: Core) -> tuple:
         cache_state(h.l2),
         mshr_state,
         tuple(sorted(core.predictor._counters.items())),
-        tuple(_rng_state_key(p._rng) for p in _rng_policies(h)),
+        tuple(_rng_state_key(_policy_rng(p)) for p in _rng_policies(h)),
         tuple(sorted(h.dram._words.items())),
         h.tracker._next_epoch,
         tuple(h.tracker.open_epochs()),

@@ -8,15 +8,11 @@ from repro.common.errors import ConfigError
 
 class TestAccessLatencies:
     def test_cold_miss_to_memory(self, hierarchy):
-        result = hierarchy.access(0x1000, 0)
-        assert result.level == "MEM"
-        assert result.latency == 122  # 2 + 20 + 100
+        assert hierarchy.access(0x1000, 0) == (122, "MEM")  # 2 + 20 + 100
 
     def test_l1_hit_after_install(self, hierarchy):
         hierarchy.access(0x1000, 0)
-        result = hierarchy.access(0x1000, 1)
-        assert result.level == "L1"
-        assert result.latency == 2
+        assert hierarchy.access(0x1000, 1) == (2, "L1")
 
     def test_l2_hit_after_l1_eviction(self, hierarchy):
         hierarchy.access(0x1000, 0)
@@ -24,9 +20,7 @@ class TestAccessLatencies:
         for j in range(1, 32):
             hierarchy.access(0x1000 + j * 4096, j)
         if not hierarchy.in_l1(0x1000):
-            result = hierarchy.access(0x1000, 100)
-            assert result.level == "L2"
-            assert result.latency == 22
+            assert hierarchy.access(0x1000, 100) == (22, "L2")
 
     def test_installs_into_both_levels(self, hierarchy):
         hierarchy.access(0x1000, 0)

@@ -1,5 +1,7 @@
 """Tests for repro.cache.replacement — Random, LRU, NoMo partition."""
 
+from functools import partial
+
 import pytest
 
 from repro.cache.line import CacheLine
@@ -14,14 +16,14 @@ def lines(n, base_cycle=0):
 
 class TestRandomReplacement:
     def test_picks_from_candidates(self):
-        policy = RandomReplacement(make_rng(0))
+        policy = RandomReplacement(partial(make_rng, 0))
         ways = lines(8)
         for _ in range(50):
             victim = policy.choose_victim(0, ways, [2, 5, 7])
             assert victim in (2, 5, 7)
 
     def test_uniform_ish(self):
-        policy = RandomReplacement(make_rng(1))
+        policy = RandomReplacement(partial(make_rng, 1))
         ways = lines(4)
         counts = {i: 0 for i in range(4)}
         for _ in range(4000):
@@ -30,12 +32,12 @@ class TestRandomReplacement:
             assert 800 < c < 1200  # each ~1000
 
     def test_empty_candidates_rejected(self):
-        policy = RandomReplacement(make_rng(0))
+        policy = RandomReplacement(partial(make_rng, 0))
         with pytest.raises(ValueError):
             policy.choose_victim(0, lines(4), [])
 
     def test_allowed_ways_all(self):
-        policy = RandomReplacement(make_rng(0))
+        policy = RandomReplacement(partial(make_rng, 0))
         assert policy.allowed_ways(0, 8) == list(range(8))
 
 
@@ -54,26 +56,26 @@ class TestLruReplacement:
 
 class TestNoMoPartition:
     def test_partition_two_threads(self):
-        policy = NoMoPartition(RandomReplacement(make_rng(0)), threads=2)
+        policy = NoMoPartition(RandomReplacement(partial(make_rng, 0)), threads=2)
         assert policy.allowed_ways(0, 8) == [0, 1, 2, 3]
         assert policy.allowed_ways(1, 8) == [4, 5, 6, 7]
 
     def test_uneven_partition_rejected(self):
-        policy = NoMoPartition(RandomReplacement(make_rng(0)), threads=3)
+        policy = NoMoPartition(RandomReplacement(partial(make_rng, 0)), threads=3)
         with pytest.raises(ConfigError):
             policy.allowed_ways(0, 8)
 
     def test_thread_out_of_range(self):
-        policy = NoMoPartition(RandomReplacement(make_rng(0)), threads=2)
+        policy = NoMoPartition(RandomReplacement(partial(make_rng, 0)), threads=2)
         with pytest.raises(ConfigError):
             policy.allowed_ways(2, 8)
 
     def test_zero_threads_rejected(self):
         with pytest.raises(ConfigError):
-            NoMoPartition(RandomReplacement(make_rng(0)), threads=0)
+            NoMoPartition(RandomReplacement(partial(make_rng, 0)), threads=0)
 
     def test_victim_choice_delegates(self):
-        policy = NoMoPartition(RandomReplacement(make_rng(0)), threads=2)
+        policy = NoMoPartition(RandomReplacement(partial(make_rng, 0)), threads=2)
         ways = lines(8)
         victim = policy.choose_victim(0, ways, [0, 1])
         assert victim in (0, 1)

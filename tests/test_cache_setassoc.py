@@ -1,5 +1,7 @@
 """Tests for repro.cache.setassoc — one cache level."""
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,7 +123,7 @@ class TestSpeculativeMarks:
 
 class TestNoMoAllocation:
     def test_thread0_confined_to_partition(self):
-        policy = NoMoPartition(RandomReplacement(make_rng(0)), threads=2)
+        policy = NoMoPartition(RandomReplacement(partial(make_rng, 0)), threads=2)
         c = SetAssociativeCache(GEOM, policy)
         for j in range(10):
             c.install(j * 4096, 0, thread=0)
@@ -129,7 +131,7 @@ class TestNoMoAllocation:
             assert c.way_of(line_addr) in (0, 1, 2, 3)
 
     def test_partition_capacity(self):
-        policy = NoMoPartition(RandomReplacement(make_rng(0)), threads=2)
+        policy = NoMoPartition(RandomReplacement(partial(make_rng, 0)), threads=2)
         c = SetAssociativeCache(GEOM, policy)
         for j in range(16):
             c.install(j * 4096, 0, thread=0)
@@ -145,7 +147,7 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_no_duplicate_lines_and_bounded_occupancy(self, ops):
         """Property: a line is never resident twice; sets never overflow."""
-        c = SetAssociativeCache(GEOM, RandomReplacement(make_rng(7)))
+        c = SetAssociativeCache(GEOM, RandomReplacement(partial(make_rng, 7)))
         for i, (line_number, do_invalidate) in enumerate(ops):
             addr = line_number * 64
             if do_invalidate:

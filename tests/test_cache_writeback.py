@@ -65,8 +65,7 @@ class TestDirtyRestoration:
     def test_speculative_store_marks_line(self):
         h = CacheHierarchy(seed=0)
         epoch = h.open_epoch()
-        result = h.access(0x2000, 0, is_write=True, speculative=True, epoch=epoch)
-        assert result.is_write
+        h.access(0x2000, 0, is_write=True, speculative=True, epoch=epoch)
         line = h.l1.get_line(0x2000)
         assert line.dirty and line.speculative
 

@@ -181,7 +181,7 @@ class TestWrongPathMshrPressure:
             predicted, level = h.predict_latency(0x8000, cycle=5)
             epoch = h.open_epoch()
             access = h.access(0x8000, cycle=5, speculative=True, epoch=epoch)
-            assert (predicted, level) == (access.latency, access.level)
+            assert (predicted, level) == access
 
 
 class TestSquashTraceGuards:

@@ -8,6 +8,7 @@ from repro.common.errors import AssemblerError
 from repro.isa.asm import assemble, disassemble
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Branch, Flush, IntOpImm, Load, LoadImm, Store
+from repro.isa.program import Program
 
 SAMPLE = """
 # a small program
@@ -25,6 +26,16 @@ start:
 end:
   halt
 """
+
+
+#: Tokens the fuzz property strings together: mnemonics, good and bad
+#: operands, labels, separators and line breaks.
+FUZZ_TOKENS = [
+    "li", "ld", "st", "add", "addi", "div", "blt", "bge", "j", "halt", "nop",
+    "mfence", "rdtscp", "clflush", "r1", "r2", "r31", "r32", "rx", "x", ",",
+    "8(r1)", "-8(r2)", "(r1)", "0x10", "12", "foo", "foo:", ":", "#", "\n",
+    "\n", "lbl:", "j lbl", "9" * 5000 + "(r1)",
+]
 
 
 class TestAssemble:
@@ -82,6 +93,55 @@ class TestAssemble:
     def test_label_on_same_line(self):
         p = assemble("start: nop\nhalt")
         assert p.resolve("start") == 0
+
+
+class TestAssemblerErrors:
+    """Every failure is an AssemblerError that says where it is."""
+
+    def test_error_names_program_line_and_source(self):
+        with pytest.raises(AssemblerError) as info:
+            assemble("nop\n  frob r1  # bad\nhalt", name="demo")
+        err = info.value
+        assert err.program == "demo"
+        assert err.instruction == "frob r1  # bad"
+        assert str(err).startswith("demo: line 2: unknown mnemonic")
+
+    def test_bad_register_is_an_assembler_error(self):
+        with pytest.raises(AssemblerError) as info:
+            assemble("li r1, 1\nadd r2, r1, r99\nhalt", name="demo")
+        assert info.value.program == "demo"
+        assert "line 2: register index out of range" in str(info.value)
+
+    def test_oversized_offset_is_an_assembler_error(self):
+        with pytest.raises(AssemblerError, match="line 1: invalid offset"):
+            assemble("ld r1, " + "9" * 5000 + "(r2)\nhalt")
+
+    def test_structural_error_keeps_its_pc(self):
+        with pytest.raises(AssemblerError) as info:
+            assemble("nop\n\nj nowhere\nhalt", name="demo")
+        err = info.value
+        assert (err.program, err.pc, err.instruction) == ("demo", 1, "j nowhere")
+        assert "line 3: undefined target label 'nowhere'" in str(err)
+
+    def test_error_without_a_pc_names_the_program(self):
+        with pytest.raises(AssemblerError) as info:
+            assemble("# nothing\n", name="demo")
+        assert (info.value.program, info.value.pc) == ("demo", None)
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(FUZZ_TOKENS), max_size=12).map(" ".join),
+            st.text(max_size=40),
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_assemble_returns_a_program_or_raises_assembler_error(self, text):
+        try:
+            program = assemble(text, name="fuzz")
+        except AssemblerError as exc:
+            assert exc.program == "fuzz"
+        else:
+            assert isinstance(program, Program)
 
 
 class TestRoundTrip:

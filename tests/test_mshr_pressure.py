@@ -17,11 +17,11 @@ class TestMshrPressure:
         h = small_mshr_hierarchy(entries=2)
         base = h.latency.memory_total
         # Two outstanding misses at the same cycle fill the file.
-        assert h.access(0x10000, cycle=0).latency == base
-        assert h.access(0x20000, cycle=0).latency == base
+        assert h.access(0x10000, cycle=0) == (base, "MEM")
+        assert h.access(0x20000, cycle=0) == (base, "MEM")
         # The third miss in the same cycle queues.
-        third = h.access(0x30000, cycle=0)
-        assert third.latency == base + h.latency.mshr_full_penalty
+        latency, _ = h.access(0x30000, cycle=0)
+        assert latency == base + h.latency.mshr_full_penalty
         assert h.mshr.stats.stall_events == 1
 
     def test_entries_retire_and_free_slots(self):
@@ -29,8 +29,8 @@ class TestMshrPressure:
         h.access(0x10000, cycle=0)
         h.access(0x20000, cycle=0)
         # Much later, the fills have completed; a new miss pays no penalty.
-        result = h.access(0x30000, cycle=1000)
-        assert result.latency == h.latency.memory_total
+        latency, _ = h.access(0x30000, cycle=1000)
+        assert latency == h.latency.memory_total
         assert h.mshr.stats.stall_events == 0
 
     def test_merges_never_stall(self):
@@ -39,18 +39,15 @@ class TestMshrPressure:
         # Same line again: merges into the existing entry (after it retires
         # this is just a hit, so re-flush to force the path).
         h.flush_line(0x10000)
-        first = h.access(0x10000, cycle=0)
-        again = h.access(0x10008, cycle=0)  # same line, still in flight
-        assert again.level == "L1"  # line installed by the first access
-        del first
+        h.access(0x10000, cycle=0)
+        _, level = h.access(0x10008, cycle=0)  # same line, still in flight
+        assert level == "L1"  # line installed by the first access
 
     def test_hits_unaffected_by_full_mshr(self):
         h = small_mshr_hierarchy(entries=1)
         h.access(0x10000, cycle=0)
         h.access(0x20000, cycle=0)  # queues (penalty), but installs
-        hit = h.access(0x10000, cycle=1)
-        assert hit.level == "L1"
-        assert hit.latency == h.latency.l1_hit
+        assert h.access(0x10000, cycle=1) == (h.latency.l1_hit, "L1")
 
     def test_attack_rounds_never_hit_pressure(self):
         """The unXpec round keeps well under the 16-entry file — MSHR
