@@ -33,21 +33,26 @@ bench-core:
 	     m['synthetic_ips'], s['synthetic_ips_normalized']))"
 
 # End-to-end benchmark (benchmarks/e2e/README.md): all four workloads at
-# seed 0, results in .bench-out/bench-e2e.json. Fails when a workload
-# crashes or fails its output checks (run.py exits non-zero), or when any
-# workload's sim_digest differs from the one stored in baselines.json.
+# seeds 0 and 1, results in .bench-out/bench-e2e.json (seed 0) and
+# .bench-out/bench-e2e-seed1.json. Fails when a workload crashes or fails
+# its output checks (run.py exits non-zero), or when any workload's
+# sim_digest at either seed differs from the one stored in baselines.json.
 # Timings are recorded, not gated: a timing claim needs the paired runs
 # of compare.py --run.
 bench-e2e:
 	@mkdir -p .bench-out
 	python3 benchmarks/e2e/run.py --seed 0 --out .bench-out/bench-e2e.json
+	python3 benchmarks/e2e/run.py --seed 1 --out .bench-out/bench-e2e-seed1.json
 	@python3 -c "import json; \
-	    runs = json.load(open('.bench-out/bench-e2e.json'))['workloads']; \
-	    bad = {name: (r['diagnostics']['sim_digest'], r['diagnostics']['sim_digest_stored']) \
-	        for name, r in runs.items() \
+	    runs = {(seed, name): r for seed, path in \
+	        ((0, '.bench-out/bench-e2e.json'), (1, '.bench-out/bench-e2e-seed1.json')) \
+	        for name, r in json.load(open(path))['workloads'].items()}; \
+	    bad = {key: (r['diagnostics']['sim_digest'], r['diagnostics']['sim_digest_stored']) \
+	        for key, r in runs.items() \
 	        if r['diagnostics']['sim_digest'] != r['diagnostics']['sim_digest_stored']}; \
-	    assert runs and not bad, 'sim_digest differs from baselines.json: %r' % bad; \
-	    print('bench-e2e: %d workloads, every sim_digest matches stored' % len(runs))"
+	    assert {seed for seed, _ in runs} == {0, 1}, 'missing a seed: %r' % sorted(runs); \
+	    assert not bad, 'sim_digest differs from baselines.json: %r' % bad; \
+	    print('bench-e2e: %d workload runs at seeds 0 and 1, every sim_digest matches stored' % len(runs))"
 
 experiments:
 	$(PYTHON) -m repro.experiments all

@@ -72,7 +72,10 @@ def _shared_set_index_memo(
         geometry.offset_bits,
         geometry.sets,
     )
-    return _SET_INDEX_MEMOS.setdefault(key, _SetIndexMemo())
+    memo = _SET_INDEX_MEMOS.get(key)
+    if memo is None:
+        memo = _SET_INDEX_MEMOS[key] = _SetIndexMemo()
+    return memo
 
 
 class SetAssociativeCache:

@@ -42,6 +42,7 @@ of times.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -72,7 +73,7 @@ from ..isa.program import Program
 from ..isa.registers import WORD_MASK, RegisterFile
 from ..obs import Observability, get_default_obs
 from .fu import FU_DIV, FuPool
-from .noise import NoiseModel
+from .noise import NoiseModel, NoiseStream
 from .predictor import BimodalPredictor, WEAK_TAKEN
 from .timing import InstructionTiming, RunResult, SquashEvent
 
@@ -135,7 +136,7 @@ class Core:
         #: The ``core-noise`` stream: built by the first run whose noise
         #: model is enabled (a noise-free machine never draws from it).
         self._noise_rng_factory = partial(derive_rng, noise_seed, "core-noise")
-        self._noise_rng: Optional[np.random.Generator] = None
+        self._noise_stream: Optional[NoiseStream] = None
         self.record_timeline = record_timeline
         #: Two-context interference hooks (repro.cpu.fu.OccupancyTimeline).
         #: ``port_timeline`` — this core *records* the busy intervals its
@@ -188,6 +189,19 @@ class Core:
             desc="committed instructions per cycle",
         )
 
+    def noise_generator(self) -> np.random.Generator:
+        """A copy of the ``core-noise`` generator at the position of the next
+        draw (a stream never built sits at its start).
+
+        Read-ahead leaves the stream's generator past that position, so
+        the copy is taken from a copy of the stream. Drawing from it never
+        moves the core's noise.
+        """
+        stream = self._noise_stream
+        if stream is None:
+            return self._noise_rng_factory()
+        return copy.deepcopy(stream).generator()
+
     # ------------------------------------------------------------------
     # main entry point
     # ------------------------------------------------------------------
@@ -225,11 +239,17 @@ class Core:
         # two), so negative/overflowed computed addresses execute
         # deterministically; register values keep full 64-bit semantics.
         addr_mask = hierarchy.addr_mask
-        noise_enabled = self.noise.enabled
-        noise_event = self.noise.system_event
-        noise_rng = self._noise_rng
-        if noise_enabled and noise_rng is None:
-            noise_rng = self._noise_rng = self._noise_rng_factory()
+        noise = self.noise
+        noise_stream = self._noise_stream
+        if noise.enabled and noise_stream is None:
+            noise_stream = self._noise_stream = NoiseStream(noise, self._noise_rng_factory)
+        # The stream reads the per-instruction event uniforms ahead: the loop
+        # counts down the quiet instructions it was told of, and hands the
+        # count back to the stream around anything that may draw a jitter.
+        noise_ticks = noise.event_prob > 0
+        noise_sync = noise_ticks and noise.mem_jitter_std > 0
+        noise_left = noise_stream.left if noise_ticks else 0
+        noise_tick = noise_stream.tick if noise_ticks else None
         predictor = self.predictor
         alu_latency = cfg.alu_latency
         mul_latency = cfg.mul_latency
@@ -271,8 +291,12 @@ class Core:
 
         while True:
             if not 0 <= pc < n_code:
+                if noise_ticks:
+                    noise_stream.left = noise_left
                 raise SimulationError("pc out of range", program=program.name, pc=pc)
             if committed >= max_instructions:
+                if noise_ticks:
+                    noise_stream.left = noise_left
                 raise SimulationError(
                     f"exceeded {max_instructions} instructions",
                     program=program.name,
@@ -295,13 +319,16 @@ class Core:
                 dispatched_this_cycle += 1
             dispatch = cycle
 
-            if noise_enabled:
-                event = noise_event(noise_rng)
-                if event:
-                    result.noise_event_cycles += event
-                    dispatch += event
-                    if dispatch > fetch_available:
-                        fetch_available = dispatch
+            if noise_ticks:
+                if noise_left:
+                    noise_left -= 1
+                else:
+                    event, noise_left = noise_tick()
+                    if event:
+                        result.noise_event_cycles += event
+                        dispatch += event
+                        if dispatch > fetch_available:
+                            fetch_available = dispatch
 
             start = dispatch
             complete = dispatch
@@ -355,9 +382,13 @@ class Core:
                 if fence_barrier > start:
                     start = fence_barrier
                 addr = (raw_get(base, 0) + ins[3]) & addr_mask
+                if noise_sync:
+                    noise_stream.left = noise_left
                 start, complete, level = issue_load(
                     addr, start, NEVER, None, max_branch_resolve
                 )
+                if noise_sync:
+                    noise_left = noise_stream.left
                 dst = ins[1]
                 raw[dst] = dram_peek(addr) & WORD_MASK
                 ready[dst] = complete
@@ -391,6 +422,8 @@ class Core:
                     max_branch_resolve = resolve
                 taken_pc = ins[4]
                 if predicted != actual:
+                    if noise_sync:
+                        noise_stream.left = noise_left
                     fetch_resume = self._squash(
                         program,
                         pc,
@@ -403,6 +436,8 @@ class Core:
                         mem_max_complete,
                         result,
                     )
+                    if noise_sync:
+                        noise_left = noise_stream.left
                     if fetch_resume > fetch_available:
                         fetch_available = fetch_resume
                 # Train the predictor only *after* wrong-path simulation: the
@@ -508,6 +543,8 @@ class Core:
                 )
             pc = next_pc
 
+        if noise_ticks:
+            noise_stream.left = noise_left
         result.cycles = max(last_complete_all, fetch_available)
         result.instructions = committed
         # Drain in-flight fills: the machine quiesces between runs, and the
@@ -561,8 +598,10 @@ class Core:
         if level == "MEM":
             # One draw per memory-level load under every policy (a delayed
             # miss that dies below burns it too): the noise stream stays in
-            # step across defenses.
-            jitter = self.noise.mem_jitter(self._noise_rng)
+            # step across defenses. A noise-free machine has no stream.
+            stream = self._noise_stream
+            if stream is not None:
+                jitter = self.noise.mem_jitter(stream)
             latency = max(1, latency + jitter)
         if level != "L1":
             if policy == "delay" and start < resolved:

@@ -64,16 +64,25 @@ class ProgramBuilder:
         self._instructions.append(inst)
         return self
 
+    def _new(self, kind: type, *operands) -> "ProgramBuilder":
+        """Emit ``kind(*operands)``; a malformed operand raises an
+        :class:`IsaError` located at this program and the next pc."""
+        try:
+            inst = kind(*operands)
+        except IsaError as exc:
+            raise IsaError(exc.reason, program=self.name, pc=self.here) from exc
+        return self.emit(inst)
+
     # -- one helper per opcode ---------------------------------------------------
 
     def li(self, dst: str, imm: int) -> "ProgramBuilder":
-        return self.emit(LoadImm(dst, imm))
+        return self._new(LoadImm, dst, imm)
 
     def op(self, op: str, dst: str, src1: str, src2: str) -> "ProgramBuilder":
-        return self.emit(IntOp(op, dst, src1, src2))
+        return self._new(IntOp, op, dst, src1, src2)
 
     def opi(self, op: str, dst: str, src1: str, imm: int) -> "ProgramBuilder":
-        return self.emit(IntOpImm(op, dst, src1, imm))
+        return self._new(IntOpImm, op, dst, src1, imm)
 
     def add(self, dst: str, src1: str, src2: str) -> "ProgramBuilder":
         return self.op("add", dst, src1, src2)
@@ -93,25 +102,25 @@ class ProgramBuilder:
         return self.opi("shl", dst, src1, imm)
 
     def load(self, dst: str, base: str, offset: int = 0) -> "ProgramBuilder":
-        return self.emit(Load(dst, base, offset))
+        return self._new(Load, dst, base, offset)
 
     def store(self, src: str, base: str, offset: int = 0) -> "ProgramBuilder":
-        return self.emit(Store(src, base, offset))
+        return self._new(Store, src, base, offset)
 
     def flush(self, base: str, offset: int = 0) -> "ProgramBuilder":
-        return self.emit(Flush(base, offset))
+        return self._new(Flush, base, offset)
 
     def fence(self) -> "ProgramBuilder":
         return self.emit(Fence())
 
     def rdtscp(self, dst: str) -> "ProgramBuilder":
-        return self.emit(ReadTimer(dst))
+        return self._new(ReadTimer, dst)
 
     def branch(self, cond: str, src1: str, src2: str, target: str) -> "ProgramBuilder":
-        return self.emit(Branch(cond, src1, src2, target))
+        return self._new(Branch, cond, src1, src2, target)
 
     def jump(self, target: str) -> "ProgramBuilder":
-        return self.emit(Jump(target))
+        return self._new(Jump, target)
 
     def nop(self, count: int = 1) -> "ProgramBuilder":
         for _ in range(count):

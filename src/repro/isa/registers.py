@@ -8,6 +8,8 @@ mid-simulation.
 
 from __future__ import annotations
 
+import re
+
 from ..common.errors import IsaError
 
 NUM_REGISTERS = 32
@@ -23,17 +25,23 @@ def reg(index: int) -> str:
     return f"r{index}"
 
 
+#: The canonical register names: ``r`` and a decimal index in ASCII digits,
+#: without sign, separators or leading zeros. The core keys its register
+#: dict by the name, so an alias such as ``r03`` would be a register apart.
+_REGISTER_NAMES = frozenset(f"r{i}" for i in range(NUM_REGISTERS))
+
+#: A canonical-looking name whose index is too large.
+_OUT_OF_RANGE_RE = re.compile(r"r[1-9][0-9]+")
+
+
 def validate_register(name: str) -> str:
-    """Check that ``name`` is a valid register name and return it."""
-    if not isinstance(name, str) or not name.startswith("r"):
-        raise IsaError(f"invalid register name: {name!r}")
-    try:
-        index = int(name[1:])
-    except ValueError as exc:
-        raise IsaError(f"invalid register name: {name!r}") from exc
-    if not 0 <= index < NUM_REGISTERS:
-        raise IsaError(f"register index out of range: {name!r}")
-    return name
+    """Check that ``name`` is a canonical register name and return it."""
+    if isinstance(name, str):
+        if name in _REGISTER_NAMES:
+            return name
+        if _OUT_OF_RANGE_RE.fullmatch(name):
+            raise IsaError(f"register index out of range: {name!r}")
+    raise IsaError(f"invalid register name: {name!r}")
 
 
 class RegisterFile:

@@ -203,10 +203,7 @@ class TestWrongPathDrawParity:
             assert len(result.squashes) == 1, key
             # Same seed + same number of draws => identical next value
             # (a stream never built sits at its start).
-            rng = core._noise_rng
-            if rng is None:
-                rng = core._noise_rng_factory()
-            positions[key] = rng.random()
+            positions[key] = core.noise_generator().random()
         assert len(set(positions.values())) == 1, positions
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import AssemblerError
+from repro.common.errors import AssemblerError, IsaError
 from repro.isa.asm import assemble, disassemble
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Branch, Flush, IntOpImm, Load, LoadImm, Store
@@ -34,8 +34,27 @@ FUZZ_TOKENS = [
     "li", "ld", "st", "add", "addi", "div", "blt", "bge", "j", "halt", "nop",
     "mfence", "rdtscp", "clflush", "r1", "r2", "r31", "r32", "rx", "x", ",",
     "8(r1)", "-8(r2)", "(r1)", "0x10", "12", "foo", "foo:", ":", "#", "\n",
+    "r03", "r+3", "r1_0", "r\u0663", "8(r03)",
     "\n", "lbl:", "j lbl", "9" * 5000 + "(r1)",
 ]
+
+
+CANONICAL_REGISTERS = frozenset(f"r{i}" for i in range(32))
+
+#: Spellings of r3 / r10 that ``int(name[1:])`` reads as valid indices.
+REGISTER_ALIASES = ["r03", "r+3", "r 3", "r1_0", "r\u0663"]
+
+#: Instruction fields that hold register names.
+_REGISTER_FIELDS = ("dst", "src", "src1", "src2", "base")
+
+
+def _registers_of(program: Program) -> set:
+    return {
+        getattr(inst, field)
+        for inst in program
+        for field in _REGISTER_FIELDS
+        if isinstance(getattr(inst, field, None), str)
+    }
 
 
 class TestAssemble:
@@ -112,6 +131,29 @@ class TestAssemblerErrors:
         assert info.value.program == "demo"
         assert "line 2: register index out of range" in str(info.value)
 
+    @pytest.mark.parametrize("alias", REGISTER_ALIASES)
+    def test_non_canonical_register_is_an_assembler_error(self, alias):
+        # Each once ran as a register apart from r3/r10: r4 read as 0.
+        text = f"li r3, 7\nadd r4, {alias}, {alias}\nhalt"
+        with pytest.raises(AssemblerError) as info:
+            assemble(text, name="demo")
+        err = info.value
+        assert (err.program, err.instruction) == ("demo", f"add r4, {alias}, {alias}")
+        assert f"line 2: invalid register name: {alias!r}" in str(err)
+
+    @pytest.mark.parametrize("alias", REGISTER_ALIASES)
+    def test_non_canonical_register_in_a_memory_operand(self, alias):
+        with pytest.raises(AssemblerError, match="line 1: "):
+            assemble(f"ld r1, 8({alias})\nhalt")
+
+    @pytest.mark.parametrize("alias", REGISTER_ALIASES)
+    def test_non_canonical_register_is_a_located_builder_error(self, alias):
+        b = ProgramBuilder("demo").li("r3", 7)
+        with pytest.raises(IsaError) as info:
+            b.add("r4", alias, alias)
+        assert (info.value.program, info.value.pc) == ("demo", 1)
+        assert f"invalid register name: {alias!r}" in str(info.value)
+
     def test_oversized_offset_is_an_assembler_error(self):
         with pytest.raises(AssemblerError, match="line 1: invalid offset"):
             assemble("ld r1, " + "9" * 5000 + "(r2)\nhalt")
@@ -142,6 +184,8 @@ class TestAssemblerErrors:
             assert exc.program == "fuzz"
         else:
             assert isinstance(program, Program)
+            # Every register an assembled program names is canonical.
+            assert _registers_of(program) <= CANONICAL_REGISTERS
 
 
 class TestRoundTrip:

@@ -1,9 +1,17 @@
 """Tests for repro.isa.registers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import IsaError
 from repro.isa.registers import NUM_REGISTERS, WORD_MASK, RegisterFile, reg, validate_register
+
+CANONICAL = frozenset(f"r{i}" for i in range(NUM_REGISTERS))
+
+#: Spellings of r3 / r10 that ``int(name[1:])`` accepts: a leading zero, a
+#: sign, inner whitespace, a digit separator, non-ASCII digits.
+NON_CANONICAL = ["r03", "r+3", "r 3", "r1_0", "r\u0663", "r\uff13", "r3 ", " r3", "r00"]
 
 
 class TestRegNames:
@@ -25,6 +33,23 @@ class TestRegNames:
     def test_validate_rejects(self, bad):
         with pytest.raises(IsaError):
             validate_register(bad)
+
+    @pytest.mark.parametrize("alias", NON_CANONICAL)
+    def test_validate_rejects_aliases(self, alias):
+        # int() reads each of these as a valid index; the core would key a
+        # register apart from the canonical one.
+        with pytest.raises(IsaError, match="invalid register name"):
+            validate_register(alias)
+
+    @given(st.text(max_size=6))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_only_canonical_names_validate(self, name):
+        try:
+            validate_register(name)
+        except IsaError:
+            assert name not in CANONICAL
+        else:
+            assert name in CANONICAL
 
 
 class TestRegisterFile:

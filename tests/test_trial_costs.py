@@ -33,7 +33,7 @@ from repro.cache.line import CacheLine
 from repro.cache.replacement import RandomReplacement
 from repro.common.rng import derive_rng
 from repro.cpu.core import Core
-from repro.cpu.noise import campaign_noise
+from repro.cpu.noise import NoiseStream, campaign_noise
 from repro.defense.base import defense_keys, make_defense
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Branch
@@ -228,18 +228,42 @@ class TestLazyStreams:
     def test_core_noise_draws_match_an_eager_stream(self):
         program = _mispredict_program()
         lazy, eager = _noisy_core(3), _noisy_core(3)
-        assert lazy._noise_rng is None
-        eager._noise_rng = derive_rng(3, "core-noise")
+        assert lazy._noise_stream is None
+        eager_rng = derive_rng(3, "core-noise")
+        eager._noise_stream = NoiseStream(eager.noise, lambda: eager_rng)
         for _ in range(20):
             a, b = lazy.run(program), eager.run(program)
             assert (a.cycles, a.noise_event_cycles) == (b.cycles, b.noise_event_cycles)
-        assert lazy._noise_rng.bit_generator.state == eager._noise_rng.bit_generator.state
+        assert (
+            lazy.noise_generator().bit_generator.state
+            == eager.noise_generator().bit_generator.state
+        )
+
+    def test_noise_generator_hands_out_a_copy(self):
+        # Draws from the handed-out generator, an integers draw included
+        # (it would use up PCG64's buffered half), leave the core's noise as
+        # it was: the core keeps drawing what a twin never asked draws.
+        program = _mispredict_program()
+        core, twin = _noisy_core(4), _noisy_core(4)
+        core.noise_generator().random()
+        assert core._noise_stream is None
+        for _ in range(10):
+            core.run(program), twin.run(program)
+            drawn = core.noise_generator()
+            drawn.integers(80, 251, size=3)
+            drawn.normal(0, 11.0)
+            a, b = core.run(program), twin.run(program)
+            assert (a.cycles, a.noise_event_cycles) == (b.cycles, b.noise_event_cycles)
+        assert (
+            core.noise_generator().bit_generator.state
+            == twin.noise_generator().bit_generator.state
+        )
 
     def test_noise_free_core_never_builds_its_stream(self):
         hierarchy = CacheHierarchy(seed=0)
         core = Core(hierarchy, make_defense("cleanupspec", hierarchy))
         core.run(_mispredict_program())
-        assert core._noise_rng is None
+        assert core._noise_stream is None
 
     def test_ceaser_key_is_the_seeded_draw(self):
         for seed in (0, 1, 12345):
@@ -250,7 +274,7 @@ class TestLazyStreams:
     def test_deep_copy_with_unbuilt_streams_behaves_the_same(self):
         core = _noisy_core(9)
         clone = copy.deepcopy(core)
-        assert core._noise_rng is None and clone._noise_rng is None
+        assert core._noise_stream is None and clone._noise_stream is None
         # Enough conflicting lines to make the L1 replacement policy draw.
         addrs = [j * 4096 + 64 for j in range(48)]
         for machine in (core, clone):
